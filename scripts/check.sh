@@ -5,6 +5,9 @@
 #               -Wold-style-cast -Wnon-virtual-dtor), full ctest suite —
 #               includes revtr_lint (with the layering analyzer), the
 #               wire-codec fuzzer, and the revtr_mc model-checker sweep.
+#   release     Release (-O3) build with -Werror, no tests: optimizer-only
+#               warnings (GCC 12's -Wrestrict) fail here, not in a user's
+#               first Release build.
 #   2. asan     AddressSanitizer build, full ctest suite (the revtr_mc
 #               state sweep under ASan is the deepest memory check we run).
 #   3. ubsan    UndefinedBehaviorSanitizer with -fno-sanitize-recover=all
@@ -347,6 +350,10 @@ sched_smoke
 serverd_smoke
 agent_smoke
 bench_smoke
+echo "==> [release] configure"
+cmake --preset release >/dev/null
+echo "==> [release] build"
+cmake --build --preset release -j "$JOBS"
 run_config asan
 run_config ubsan
 case "${REVTR_CHECK_TSAN:-1}" in
@@ -362,7 +369,7 @@ case "${REVTR_CHECK_TSAN:-1}" in
         echo "==> [tsan] build"
         cmake --build --preset tsan -j "$JOBS"
         echo "==> [tsan] concurrency suite"
-        ctest --preset tsan -R 'ThreadPool|Distribution|StripedMap|ShardedMetrics|ParallelCampaign|Atlas|Ingress|ServerDaemon|AgentSplit'
+        ctest --preset tsan -R 'ThreadPool|Distribution|StripedMap|ShardedMetrics|ParallelCampaign|Atlas|Ingress|ServerDaemon|AgentSplit|RunnerFrontEnds|WaitForProgress'
         ;;
 esac
 

@@ -105,8 +105,11 @@ bool AgentDaemon::send_frame(const Message& message) {
   const auto frame = server::encode_frame(message);
   std::size_t written = 0;
   while (written < frame.size()) {
+    // MSG_NOSIGNAL: a controller that hung up fails the send instead of
+    // raising SIGPIPE.
     const ssize_t n =
-        write(fd_, frame.data() + written, frame.size() - written);
+        send(fd_, frame.data() + written, frame.size() - written,
+             MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       return false;
@@ -268,9 +271,8 @@ bool AgentDaemon::run() {
   }
   agent_id_.store(std::get<HelloOk>(*ack).tenant, std::memory_order_release);
 
-  const int heartbeat_ms =
-      static_cast<int>(std::max<std::int64_t>(options_.heartbeat_interval_ms,
-                                              1));
+  const std::chrono::milliseconds heartbeat(
+      std::max<std::int64_t>(options_.heartbeat_interval_ms, 1));
   auto last_beat = std::chrono::steady_clock::now();
   bool draining = false;
   bool clean = false;
@@ -289,29 +291,34 @@ bool AgentDaemon::run() {
       clean = true;
       break;
     }
-    auto message = read_frame(heartbeat_ms, &fatal, &eof);
+    // Heartbeat whenever one is due, busy or not: a steadily fed agent
+    // never times out a read, and must still prove it is alive.
+    const auto now = std::chrono::steady_clock::now();
+    if (now - last_beat >= heartbeat) {
+      std::uint64_t executed = 0;
+      {
+        const util::MutexLock lock(mu_);
+        ++counters_.heartbeats;
+        executed = counters_.executed;
+      }
+      if (!send_frame(AgentHeartbeat{0, executed})) break;
+      last_beat = now;
+    }
+    const auto until_beat =
+        std::chrono::ceil<std::chrono::milliseconds>(heartbeat -
+                                                     (now - last_beat));
+    auto message = read_frame(static_cast<int>(until_beat.count()), &fatal,
+                              &eof);
     if (fatal) break;  // Protocol error: unclean exit.
     if (eof) {
-      // Controller hung up. Nothing is half-answered (assignments are
-      // handled synchronously), so this is a clean end.
+      // Controller hung up (or expired us). Nothing is half-answered
+      // (assignments are handled synchronously), so this is a clean end.
       clean = true;
       break;
     }
-    if (!message.has_value()) {
-      // Timeout (or a drain signal interrupted the wait).
-      const auto now = std::chrono::steady_clock::now();
-      if (now - last_beat >= std::chrono::milliseconds(heartbeat_ms)) {
-        std::uint64_t executed = 0;
-        {
-          const util::MutexLock lock(mu_);
-          ++counters_.heartbeats;
-          executed = counters_.executed;
-        }
-        if (!send_frame(AgentHeartbeat{0, executed})) break;
-        last_beat = now;
-      }
-      continue;
-    }
+    // Timeout (or a drain signal interrupted the wait): the loop top
+    // heartbeats if one is due.
+    if (!message.has_value()) continue;
     if (const AgentProbe* probe = std::get_if<AgentProbe>(&*message)) {
       if (!handle_assignment(*probe)) break;
       continue;

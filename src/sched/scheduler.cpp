@@ -1,6 +1,7 @@
 #include "sched/scheduler.h"
 
 #include <algorithm>
+#include <chrono>
 #include <utility>
 
 #include "util/check.h"
@@ -172,6 +173,7 @@ void ProbeScheduler::submit(TaskId task, std::size_t owner,
   if (metrics_ != nullptr) {
     metrics_->queue_depth->set(static_cast<std::int64_t>(queue_.size()));
   }
+  note_progress_locked();
 }
 
 bool ProbeScheduler::issuable_locked(const Pending& pending) {
@@ -196,7 +198,10 @@ void ProbeScheduler::deliver_locked(std::uint64_t set_id, std::size_t slot,
   DemandSet& set = sets_.at(set_id);
   set.outcomes[slot] = std::move(outcome);
   REVTR_CHECK(set.remaining > 0);
-  if (--set.remaining == 0) ready_.push_back(set_id);
+  if (--set.remaining == 0) {
+    ready_.push_back(set_id);
+    note_progress_locked();
+  }
 }
 
 ProbeScheduler::Pending ProbeScheduler::detach_pending_locked(
@@ -348,6 +353,7 @@ ProbeScheduler::AgentId ProbeScheduler::attach_agent(std::size_t window,
   state.window = std::max<std::size_t>(window, 1);
   state.inflight = 0;
   state.last_heartbeat_us = now_us;
+  note_progress_locked();
   return id;
 }
 
@@ -373,6 +379,7 @@ std::size_t ProbeScheduler::detach_agent(AgentId agent) {
   const util::MutexLock lock(mu_);
   if (agents_.find(agent) == agents_.end()) return 0;
   agents_.erase(agent);
+  note_progress_locked();
   return requeue_agent_locked(agent);
 }
 
@@ -396,6 +403,7 @@ std::vector<ProbeScheduler::AgentId> ProbeScheduler::expire_agents(
     requeue_agent_locked(id);
     ++stats_.agents_expired;
   }
+  if (!expired.empty()) note_progress_locked();
   return expired;
 }
 
@@ -441,7 +449,8 @@ std::vector<ProbeScheduler::Assignment> ProbeScheduler::next_assignments(
 }
 
 bool ProbeScheduler::deliver_assignment(AgentId agent, std::uint64_t ticket,
-                                        const probing::ProbeReply& reply) {
+                                        const probing::ProbeReply& reply,
+                                        std::int64_t now_us) {
   const util::MutexLock lock(mu_);
   const auto it = assigned_.find(ticket);
   if (it == assigned_.end() || it->second.agent != agent) {
@@ -455,7 +464,11 @@ bool ProbeScheduler::deliver_assignment(AgentId agent, std::uint64_t ticket,
   if (const auto agent_it = agents_.find(agent); agent_it != agents_.end()) {
     REVTR_CHECK(agent_it->second.inflight > 0);
     --agent_it->second.inflight;
+    agent_it->second.last_heartbeat_us =
+        std::max(agent_it->second.last_heartbeat_us, now_us);
   }
+  // The agent's window has room again, whether or not a set completed.
+  note_progress_locked();
   Pending pending = detach_pending_locked(assigned.pending_id);
   PumpResult ignored;
   account_and_deliver_locked(std::move(pending), outcome_of(reply), ignored,
@@ -507,6 +520,28 @@ std::vector<ProbeScheduler::Ready> ProbeScheduler::collect_ready(
   }
   ready_ = std::move(keep);
   return out;
+}
+
+void ProbeScheduler::note_progress_locked() {
+  ++progress_;
+  progress_cv_.notify_all();
+}
+
+std::uint64_t ProbeScheduler::progress() const {
+  const util::MutexLock lock(mu_);
+  return progress_;
+}
+
+bool ProbeScheduler::wait_for_progress(std::uint64_t seen,
+                                       std::chrono::microseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  util::MutexLock lock(mu_);
+  // While-loop wait, not the predicate overload, so the analysis can track
+  // mu_ across the release/reacquire (same idiom as util::ThreadPool).
+  while (progress_ == seen &&
+         progress_cv_.wait_until(lock, deadline) != std::cv_status::timeout) {
+  }
+  return progress_ != seen;
 }
 
 bool ProbeScheduler::idle() const {

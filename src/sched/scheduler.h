@@ -27,6 +27,8 @@
 // and is re-checked adversarially by invariant I7 over the SchedulerAudit.
 #pragma once
 
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -260,9 +262,12 @@ class ProbeScheduler {
   // already delivered), so a slow agent's late duplicate can never fan out
   // twice or double-charge a request. The audit Issue records the round the
   // assignment was dispatched in, keeping I7's per-round window check exact.
+  // A delivery is also proof of life: `now_us` refreshes the agent's
+  // heartbeat clock (never backwards), so an agent kept busy with
+  // assignments is not expired for skipping heartbeats.
   bool deliver_assignment(AgentId agent, std::uint64_t ticket,
-                          const probing::ProbeReply& reply)
-      REVTR_EXCLUDES(mu_);
+                          const probing::ProbeReply& reply,
+                          std::int64_t now_us = 0) REVTR_EXCLUDES(mu_);
 
   // Runs up to `max_jobs` queued offline closures on the calling thread
   // (work stealing: atlas-refresh jobs run on whichever controller worker
@@ -275,6 +280,16 @@ class ProbeScheduler {
 
   // Tasks of `owner` whose whole demand set resolved since the last call.
   std::vector<Ready> collect_ready(std::size_t owner);
+
+  // Progress epoch: advances on every submit, completed demand set, agent
+  // delivery, attach and detach (expiry included), the events after which
+  // an idle remote-mode worker may have work again.
+  std::uint64_t progress() const REVTR_EXCLUDES(mu_);
+  // Blocks until progress() differs from `seen` or `timeout` elapses; true
+  // when progress was made.
+  bool wait_for_progress(std::uint64_t seen,
+                         std::chrono::microseconds timeout)
+      REVTR_EXCLUDES(mu_);
 
   bool idle() const;  // No queued probes and no undelivered sets.
   // Unfinished demand sets currently inside the scheduler (submitted, not
@@ -343,6 +358,8 @@ class ProbeScheduler {
                       ProbeOutcome outcome) REVTR_REQUIRES(mu_);
   // Requeues every assignment in flight on `agent` (detach/expiry path).
   std::size_t requeue_agent_locked(AgentId agent) REVTR_REQUIRES(mu_);
+  // Advances the progress epoch and wakes wait_for_progress() callers.
+  void note_progress_locked() REVTR_REQUIRES(mu_);
 
   // Liveness clamps applied once, so options_ can be const (a zero window
   // or zero refill would park queued demands forever).
@@ -383,6 +400,8 @@ class ProbeScheduler {
   std::uint64_t next_agent_ REVTR_GUARDED_BY(mu_) = 1;
   std::uint64_t next_ticket_ REVTR_GUARDED_BY(mu_) = 1;
   SchedulerStats stats_ REVTR_GUARDED_BY(mu_);
+  std::uint64_t progress_ REVTR_GUARDED_BY(mu_) = 0;
+  std::condition_variable_any progress_cv_;
   // issue_spoof_batch_locked scratch, reused across batches.
   std::vector<Pending> batch_pendings_ REVTR_GUARDED_BY(mu_);
   std::vector<probing::RrBatchItem> batch_items_ REVTR_GUARDED_BY(mu_);

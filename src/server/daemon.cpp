@@ -16,9 +16,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "core/request_task.h"
 #include "probing/prober.h"
-#include "sim/network.h"
 #include "util/check.h"
 #include "util/json.h"
 
@@ -36,26 +34,6 @@ void drain_signal_handler(int /*signum*/) {
 }
 
 }  // namespace
-
-// One worker's private measurement stack, mirroring the parallel campaign
-// driver: members reference earlier members, so stacks live behind
-// unique_ptr and never move. All stacks share one EngineCaches and one
-// network seed — a request measures the same path on any worker.
-struct ServerDaemon::WorkerStack {
-  sim::Network network;
-  probing::Prober prober;
-  core::RevtrEngine engine;
-
-  WorkerStack(eval::Lab& lab, const core::EngineConfig& config,
-              std::uint64_t net_seed,
-              std::shared_ptr<core::EngineCaches> caches)
-      : network(lab.topo, lab.plane, net_seed),
-        prober(network),
-        engine(prober, lab.topo, lab.atlas, lab.ingress, lab.ip2as,
-               lab.relationships, config, net_seed) {
-    engine.set_shared_caches(std::move(caches));
-  }
-};
 
 // Per-connection state, owned exclusively by the net thread (no locks).
 struct ServerDaemon::Conn {
@@ -180,14 +158,17 @@ bool ServerDaemon::start() {
     scheduler_->set_audit(options_.sched_audit);
   }
 
+  // One runner per worker, all over one EngineCaches (see WorkerStack).
   caches_ = std::make_shared<core::EngineCaches>();
-  const std::uint64_t net_seed = util::mix_hash(options_.seed, 0x6e7ULL);
+  const service::CampaignDeps deps{lab_->topo,  lab_->plane, lab_->atlas,
+                                   lab_->ingress, lab_->ip2as,
+                                   lab_->relationships};
   const std::size_t workers = std::max<std::size_t>(options_.workers, 1);
   for (std::size_t w = 0; w < workers; ++w) {
-    stacks_.push_back(std::make_unique<WorkerStack>(*lab_, options_.engine,
-                                                    net_seed, caches_));
-    stacks_.back()->prober.set_metrics(&*probe_metrics_);
-    stacks_.back()->engine.set_metrics(&*engine_metrics_);
+    runners_.push_back(std::make_unique<service::RequestRunner>(
+        deps, options_.engine, options_.seed, caches_, *scheduler_, w));
+    runners_.back()->stack().prober.set_metrics(&*probe_metrics_);
+    runners_.back()->stack().engine.set_metrics(&*engine_metrics_);
   }
 
   // Metric handles resolved once: the registry mutex (rank 10) must never
@@ -515,16 +496,15 @@ void ServerDaemon::handle_message(Conn& conn, Message message) {
     ok.server_now_us = now_us();
     ok.tenant_name = reg->name;
     append_frame(conn.out, ok);
-    work_cv_.notify_all();  // Workers may have demand waiting for an agent.
     return;
   }
 
   if (const AgentProbeResult* res = std::get_if<AgentProbeResult>(&message)) {
     if (conn.is_agent) {
       // Stale tickets (requeued off an expired agent) are dropped inside
-      // deliver_assignment; nothing to do here either way.
-      scheduler_->deliver_assignment(conn.agent, res->ticket, res->reply);
-      work_cv_.notify_all();
+      // deliver_assignment. A delivery also counts as a heartbeat.
+      scheduler_->deliver_assignment(conn.agent, res->ticket, res->reply,
+                                     now_us());
       return;
     }
     // Fall through to the protocol-violation path below.
@@ -572,8 +552,10 @@ void ServerDaemon::net_loop() {
   const auto try_flush = [](Conn& conn) {
     std::size_t written = 0;
     while (written < conn.out.size()) {
-      const ssize_t n = write(conn.fd, conn.out.data() + written,
-                              conn.out.size() - written);
+      // MSG_NOSIGNAL: a peer that hung up is a closed connection, not a
+      // SIGPIPE that kills the daemon.
+      const ssize_t n = send(conn.fd, conn.out.data() + written,
+                             conn.out.size() - written, MSG_NOSIGNAL);
       if (n > 0) {
         written += static_cast<std::size_t>(n);
         continue;
@@ -599,6 +581,18 @@ void ServerDaemon::net_loop() {
         }
       }
       work_cv_.notify_all();
+    }
+
+    // Expiry sweep: an agent silent (no heartbeat, no result) past the
+    // timeout is detached — its assignments requeue — and hung up on, so
+    // it sees EOF instead of talking on to a controller that forgot it.
+    if (options_.remote_probing && options_.agent_timeout_us > 0) {
+      for (const auto agent :
+           scheduler_->expire_agents(now_us(), options_.agent_timeout_us)) {
+        for (auto& [id, conn] : conns) {
+          if (conn.is_agent && conn.agent == agent) conn.closed = true;
+        }
+      }
     }
 
     // Route completions produced by the workers to their connections.
@@ -650,15 +644,13 @@ void ServerDaemon::net_loop() {
       if (it->second.closed) {
         // A departing agent's in-flight assignments requeue for
         // reassignment (scheduler lock rank 60 — mu_ is not held here).
+        // (Idempotent for an agent the expiry sweep already detached.)
         if (it->second.is_agent) {
           scheduler_->detach_agent(it->second.agent);
-          {
-            const util::MutexLock lock(mu_);
-            std::erase_if(agent_conns_, [&](const auto& entry) {
-              return entry.first == it->first;
-            });
-          }
-          work_cv_.notify_all();
+          const util::MutexLock lock(mu_);
+          std::erase_if(agent_conns_, [&](const auto& entry) {
+            return entry.first == it->first;
+          });
         }
         close(it->second.fd);
         it = conns.erase(it);
@@ -761,38 +753,50 @@ void ServerDaemon::net_loop() {
 // --- Workers. ---------------------------------------------------------------
 
 void ServerDaemon::worker_loop(std::size_t w) {
-  WorkerStack& stack = *stacks_[w];
-
-  // A task holds references into its ActiveRequest for the whole
-  // measurement; unordered_map keeps element addresses stable.
-  struct ActiveRequest {
-    QueuedRequest meta;
-    util::SimClock clock;
-    util::Rng rng;
-    std::unique_ptr<core::RequestTask> task;
-    explicit ActiveRequest(std::uint64_t rng_seed) : rng(rng_seed) {}
-  };
-  std::unordered_map<std::uint64_t, ActiveRequest> active;
+  service::RequestRunner& runner = *runners_[w];
+  service::RequestRunner::PumpStep pump;
+  if (options_.remote_probing) {
+    pump.dispatch = [this] { return dispatch_to_agents(); };
+  }
 
   // Folds one finished request into the daemon state and queues its RESULT
-  // frame. Everything passed in is computed outside mu_.
-  const auto deliver = [this](const QueuedRequest& meta, Message result,
-                              bool shed, bool refund, bool missed,
-                              const core::ReverseTraceroute* measured,
-                              std::int64_t wall_us) {
+  // frame: measured, or shed unmeasured when `measured` is null (deadline
+  // expired while queued). The frame is built and encoded outside mu_.
+  const auto finish = [this](const QueuedRequest& meta,
+                             const core::ReverseTraceroute* measured) {
+    const std::int64_t done_us = now_us();
+    const std::int64_t wall_us = done_us - meta.accepted_us;
+    Result result;
+    result.request_id = meta.request_id;
+    result.shed = measured == nullptr;
+    if (measured != nullptr) {
+      result.status = measured->status;
+      result.deadline_missed =
+          meta.deadline_us != 0 && done_us > meta.deadline_us;
+      result.sim_latency_us = measured->span.duration();
+      result.probes = measured->probes.total();
+      result.coalesced_probes = measured->coalesced_probes;
+      for (const auto& hop : measured->hops) {
+        if (result.hops.size() >= kMaxResultHops) break;
+        result.hops.push_back(ResultHop{hop.addr, hop.source});
+      }
+      sim_latency_us_->record(static_cast<std::uint64_t>(
+          std::max<std::int64_t>(result.sim_latency_us, 0)));
+    }
     auto frame = encode_frame(result);
     {
       const util::MutexLock lock(mu_);
-      if (refund) service_->refund_request(meta.tenant);
-      if (measured != nullptr) {
-        service_->charge_probes_for(meta.tenant, *measured);
-        admission_.observe_latency(wall_us);
+      // A shed request spent no probes; an incomplete one is not charged.
+      if (result.shed || !measured->complete()) {
+        service_->refund_request(meta.tenant);
       }
-      if (shed) {
+      if (result.shed) {
         ++counters_.shed_queued;
       } else {
+        service_->charge_probes_for(meta.tenant, *measured);
+        admission_.observe_latency(wall_us);
         ++counters_.completed;
-        if (missed) ++counters_.deadline_missed;
+        if (result.deadline_missed) ++counters_.deadline_missed;
       }
       --inflight_count_;
       inflight_->set(static_cast<std::int64_t>(inflight_count_));
@@ -802,42 +806,15 @@ void ServerDaemon::worker_loop(std::size_t w) {
         drained_cv_.notify_all();
       }
     }
-    if (shed) {
+    if (result.shed) {
       sheds_total_->add();
     } else {
       completed_total_->add();
-      if (missed) deadline_miss_total_->add();
+      if (result.deadline_missed) deadline_miss_total_->add();
       wall_latency_us_->record(
           static_cast<std::uint64_t>(std::max<std::int64_t>(wall_us, 0)));
     }
     wake_net();
-  };
-
-  const auto finalize = [this, &deliver](ActiveRequest& request) {
-    const core::ReverseTraceroute measured = request.task->take_result();
-    const std::int64_t done_us = now_us();
-    const std::int64_t wall_us = done_us - request.meta.accepted_us;
-    const bool missed = request.meta.deadline_us != 0 &&
-                        done_us > request.meta.deadline_us;
-    Result result;
-    result.request_id = request.meta.request_id;
-    result.status = measured.status;
-    result.deadline_missed = missed;
-    result.sim_latency_us = measured.span.duration();
-    result.probes = measured.probes.total();
-    result.coalesced_probes = measured.coalesced_probes;
-    for (const auto& hop : measured.hops) {
-      if (result.hops.size() >= kMaxResultHops) break;
-      ResultHop out_hop;
-      out_hop.addr = hop.addr;
-      out_hop.source = hop.source;
-      result.hops.push_back(out_hop);
-    }
-    sim_latency_us_->record(
-        static_cast<std::uint64_t>(std::max<std::int64_t>(
-            measured.span.duration(), 0)));
-    deliver(request.meta, std::move(result), /*shed=*/false,
-            /*refund=*/!measured.complete(), missed, &measured, wall_us);
   };
 
   for (;;) {
@@ -846,7 +823,7 @@ void ServerDaemon::worker_loop(std::size_t w) {
       util::MutexLock lock(mu_);
       for (;;) {
         if (!worker_hold_) {
-          while (queued_ > 0 && active.size() + popped.size() <
+          while (queued_ > 0 && runner.active() + popped.size() <
                                     options_.max_inflight_per_worker) {
             auto next = queue_.pop();
             if (!next.has_value()) break;
@@ -854,7 +831,7 @@ void ServerDaemon::worker_loop(std::size_t w) {
             --queued_;
           }
         }
-        if (!popped.empty() || !active.empty()) break;
+        if (!popped.empty() || runner.active() > 0) break;
         if (stopping_) return;
         if (draining_ && queued_ == 0) return;
         work_cv_.wait(lock);
@@ -864,62 +841,19 @@ void ServerDaemon::worker_loop(std::size_t w) {
       inflight_->set(static_cast<std::int64_t>(inflight_count_));
     }
 
-    for (QueuedRequest& meta : popped) {
-      const std::int64_t now = now_us();
-      if (meta.deadline_us != 0 && now >= meta.deadline_us) {
-        // Deadline expired while queued: shed without measuring and hand
-        // the request-count charge back (no probes were spent).
-        Result result;
-        result.request_id = meta.request_id;
-        result.status = core::RevtrStatus::kUnreachable;
-        result.shed = true;
-        deliver(meta, std::move(result), /*shed=*/true, /*refund=*/true,
-                /*missed=*/false, nullptr, 0);
+    for (const QueuedRequest& meta : popped) {
+      if (meta.deadline_us != 0 && now_us() >= meta.deadline_us) {
+        // Deadline expired while queued: shed without measuring.
+        finish(meta, nullptr);
         continue;
       }
-      auto [it, inserted] = active.try_emplace(
-          meta.index, util::mix_hash(options_.seed, meta.index, 0xca3aULL));
-      REVTR_CHECK(inserted);
-      ActiveRequest& request = it->second;
-      request.meta = meta;
-      request.task = stack.engine.start_request(meta.destination, meta.source,
-                                                request.clock, request.rng);
-      const auto demands = request.task->advance();
-      if (request.task->done()) {  // Atlas hit or trivial request.
-        finalize(request);
-        active.erase(it);
-        continue;
-      }
-      scheduler_->submit(meta.index, w, {demands.begin(), demands.end()});
+      runner.start(meta.index, meta.destination, meta.source,
+                   [&finish, meta](core::ReverseTraceroute measured) {
+                     finish(meta, &measured);
+                   });
     }
 
-    if (active.empty()) continue;
-    sched::ProbeScheduler::PumpResult pumped;
-    if (options_.remote_probing) {
-      pumped.issued = dispatch_to_agents();
-    } else {
-      pumped = scheduler_->pump(stack.prober);
-    }
-    auto ready = scheduler_->collect_ready(w);
-    for (auto& resolved : ready) {
-      const auto it = active.find(resolved.task);
-      REVTR_CHECK(it != active.end());
-      ActiveRequest& request = it->second;
-      request.task->supply(resolved.outcomes);
-      const auto demands = request.task->advance();
-      if (request.task->done()) {
-        finalize(request);
-        active.erase(it);
-        continue;
-      }
-      scheduler_->submit(resolved.task, w, {demands.begin(), demands.end()});
-    }
-    if (ready.empty() && pumped.issued == 0) {
-      // Our outcomes are in another worker's pump or throttled until the
-      // next round's token refill (remote mode: in flight on an agent).
-      // Yield rather than spin hot.
-      std::this_thread::yield();
-    }
+    if (runner.active() > 0) runner.step(pump);
   }
 }
 
@@ -928,24 +862,11 @@ std::size_t ServerDaemon::dispatch_to_agents() {
   // gets here first steals them onto its own thread.
   std::size_t moved = scheduler_->run_offline_jobs();
 
-  if (options_.agent_timeout_us > 0) {
-    const auto expired =
-        scheduler_->expire_agents(now_us(), options_.agent_timeout_us);
-    if (!expired.empty()) {
-      const util::MutexLock lock(mu_);
-      std::erase_if(agent_conns_, [&](const auto& entry) {
-        return std::find(expired.begin(), expired.end(), entry.second) !=
-               expired.end();
-      });
-    }
-  }
-
   std::vector<std::pair<std::uint64_t, sched::ProbeScheduler::AgentId>> agents;
   {
     const util::MutexLock lock(mu_);
     agents = agent_conns_;
   }
-  bool sent = false;
   for (const auto& [conn_id, agent] : agents) {
     // Scheduler (rank 60) and frame encoding both run outside mu_.
     const auto assignments = scheduler_->next_assignments(agent);
@@ -958,11 +879,10 @@ std::size_t ServerDaemon::dispatch_to_agents() {
                                            assignment.spec})});
     }
     moved += assignments.size();
-    sent = true;
     const util::MutexLock lock(mu_);
     for (auto& frame : frames) completions_.push_back(std::move(frame));
   }
-  if (sent) wake_net();
+  if (moved > 0) wake_net();
   return moved;
 }
 

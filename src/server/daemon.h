@@ -16,11 +16,11 @@
 //                 (buffers, auth, pull-mode result queues) without locks —
 //                 nothing else touches a connection. Parses frames, runs
 //                 admission, enqueues accepted requests.
-//   workers       mirror service/parallel.cpp's staged pump loop: each owns
-//                 a private Network + Prober + RevtrEngine stack, pops
-//                 queued requests, multiplexes them as resumable
-//                 core::RequestTasks over the shared scheduler, and pushes
-//                 encoded RESULT frames back through the completion queue.
+//   workers       thin front ends over service::RequestRunner (the loop the
+//                 campaign driver runs too): each pops queued requests into
+//                 its runner, shedding expired deadlines, pumps locally or
+//                 dispatches to agents, and pushes encoded RESULT frames
+//                 back through the completion queue.
 //   caller        start() / request_drain() / wait_until_drained() / stop().
 //
 // mu_ (lock rank 110, above every library mutex) guards the submission
@@ -56,6 +56,7 @@
 #include "sched/scheduler.h"
 #include "server/admission.h"
 #include "server/frame.h"
+#include "service/runner.h"
 #include "service/service.h"
 #include "topology/builder.h"
 #include "util/annotate.h"
@@ -95,8 +96,9 @@ struct ServerOptions {
   // connected, accepted requests wait in the scheduler until one registers.
   bool remote_probing = false;
   // Remote mode: an agent silent (no heartbeat, result, or register) for
-  // longer than this is declared dead and its in-flight assignments requeue
-  // for reassignment. 0 disables expiry (EOF still detaches).
+  // longer than this is declared dead: its in-flight assignments requeue
+  // for reassignment and the net thread closes its connection. 0 disables
+  // expiry (EOF still detaches).
   std::int64_t agent_timeout_us = 2'000'000;
   // Test hook: when set, the scheduler records its issue/delivery audit
   // here so tests can run invariant I7 over a daemon campaign. Must outlive
@@ -191,10 +193,10 @@ class ServerDaemon {
 
   void net_loop();
   void worker_loop(std::size_t w);
-  // Remote-mode pump replacement (any worker): steals queued offline jobs,
-  // expires silent agents, then encodes each live agent's next assignment
-  // batch as AGENT_PROBE completions for the net thread to flush. Returns
-  // the number of jobs + assignments moved (the workers' idle heuristic).
+  // Remote-mode pump step (any worker): steals queued offline jobs, then
+  // encodes each live agent's next assignment batch as AGENT_PROBE
+  // completions for the net thread to flush. Returns the number of jobs +
+  // assignments moved (the runner's idle test).
   std::size_t dispatch_to_agents();
   // Handles one decoded frame from a connection. Defined in daemon.cpp on
   // the net thread's connection table.
@@ -226,9 +228,8 @@ class ServerDaemon {
       scheduler_;  // lint: lock-free(internally synchronized)
   std::shared_ptr<core::EngineCaches>
       caches_;  // lint: lock-free(internally synchronized)
-  struct WorkerStack;
-  std::vector<std::unique_ptr<WorkerStack>>
-      stacks_;  // lint: lock-free(each stack private to one worker)
+  std::vector<std::unique_ptr<service::RequestRunner>>
+      runners_;  // lint: lock-free(each runner private to one worker)
   std::vector<topology::HostId>
       source_hosts_;  // lint: lock-free(immutable after start)
   // Effective tenant set (options_.tenants, or one default when empty) and

@@ -5,11 +5,8 @@
 // way the deployed system serves batched measurement requests. The design
 // splits state into three tiers:
 //
-//   Per worker (no locks): a private Network + Prober + RevtrEngine +
-//   SimClock + stats accumulator. Every worker's Network is seeded with the
-//   same campaign-derived seed, and probe outcomes are pure functions of
-//   probe content (stateless ECMP salt, endpoint-derived Paris flow ids), so
-//   a request measures the same path on any worker.
+//   Per worker (no locks): a service::WorkerStack (service/runner.h) plus a
+//   stats accumulator; a request measures the same path on any worker.
 //
 //   Shared, lock-striped (read-mostly): one EngineCaches instance wired into
 //   every worker engine — any worker's RR probe or symmetry traceroute
@@ -35,17 +32,15 @@
 // (bench/bench_parallel_campaign.cpp).
 //
 // Engine modes: kBlocking runs one engine.measure() per worker slot, the
-// request occupying its worker for its whole latency. kStaged multiplexes
-// *all* of a worker's requests as resumable core::RequestTasks over one
-// shared sched::ProbeScheduler: each worker loop pumps the scheduler
-// (issuing any eligible probe, its own or another worker's — outcomes are
-// content-addressed so who issues is irrelevant), collects its tasks' ready
-// outcome sets, and resumes them. Identical in-flight demands across
-// requests coalesce into one wire probe; per-VP windows and spoofed-RR
-// cross-request batching apply (DESIGN.md §10). Results are byte-identical
-// to blocking mode modulo probe accounting: a coalesced request records the
-// demand in coalesced_probes instead of its issued-probe counters. In staged
-// mode pacing holds the worker per pump *round* (probes in a round are
+// request occupying its worker for its whole latency. kStaged is a thin
+// front end over service::RequestRunner, the loop the daemon's workers run
+// too: each worker starts every request it owns, then steps its runner
+// until all have finished. Identical in-flight demands across requests
+// coalesce into one wire probe; per-VP windows and spoofed-RR cross-request
+// batching apply (DESIGN.md §10). Results are byte-identical to blocking
+// mode modulo probe accounting: a coalesced request records the demand in
+// coalesced_probes instead of its issued-probe counters. In staged mode
+// pacing holds the worker per pump *round* (probes in a round are
 // concurrent), not per request.
 #pragma once
 
@@ -55,30 +50,15 @@
 #include <utility>
 #include <vector>
 
-#include "asmap/asmap.h"
-#include "atlas/atlas.h"
 #include "core/revtr.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "routing/forwarding.h"
 #include "sched/scheduler.h"
+#include "service/runner.h"
 #include "service/service.h"
 #include "topology/topology.h"
-#include "vpselect/ingress.h"
 
 namespace revtr::service {
-
-// Everything a worker measurement stack hangs off. The atlas and ingress
-// survey must already be built/buildable through their own (control-plane)
-// prober; worker probers are created internally.
-struct CampaignDeps {
-  const topology::Topology& topo;
-  const routing::ForwardingPlane& plane;
-  atlas::TracerouteAtlas& atlas;
-  vpselect::IngressDiscovery& ingress;
-  const asmap::IpToAs& ip2as;
-  const asmap::AsRelationships& relationships;
-};
 
 enum class EngineMode {
   kBlocking,  // One engine.measure() call per worker slot.

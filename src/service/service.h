@@ -84,6 +84,9 @@ struct CampaignStats {
   // (service/parallel.h): the busiest worker's simulated time.
   double duration_seconds = 0;
 
+  // Folds one finished measurement in: its latency and its outcome.
+  void record(const core::ReverseTraceroute& result);
+
   double coverage() const noexcept {
     return requested == 0 ? 0.0
                           : static_cast<double>(completed) /

@@ -6,6 +6,7 @@
 // and invariant I7 holds over the dispatcher's audit trail.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <optional>
@@ -245,6 +246,68 @@ TEST(AgentSplit, AgentDeathMidCampaignReassignsWithoutDoubleDelivery) {
   const auto violations = analysis::check_scheduler(audit, options.sched);
   EXPECT_TRUE(violations.empty()) << violations.size() << " violations, e.g. "
                                   << violations.front().detail;
+}
+
+TEST(AgentSplit, ExpiredAgentIsDisconnectedAndSeesEof) {
+  auto options = controller_options("expire");
+  options.remote_probing = true;
+  options.agent_timeout_us = 500'000;
+
+  // The survivor registers first, so every dispatch offers it work before
+  // the silent agent; it heartbeats every 50 ms, well inside the timeout.
+  agent::AgentDaemon survivor(agent_options(options, "vp-survivor", 64));
+  // The silent agent never heartbeats within the test and gets no work.
+  auto silent_options = agent_options(options, "vp-silent", 64);
+  silent_options.heartbeat_interval_ms = 60'000;
+  agent::AgentDaemon silent(silent_options);
+
+  bool survivor_clean = false;
+  bool silent_clean = false;
+  std::atomic<bool> silent_done{false};
+  sched::SchedulerStats stats;
+  {
+    server::ServerDaemon daemon(options);
+    ASSERT_TRUE(daemon.start());
+    std::thread survivor_thread([&] { survivor_clean = survivor.run(); });
+    while (survivor.agent_id() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::thread silent_thread([&] {
+      silent_clean = silent.run();
+      silent_done.store(true);
+    });
+    while (silent.agent_id() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    // Outlive the timeout; the expiry sweep runs with the first dispatch.
+    std::this_thread::sleep_for(std::chrono::milliseconds(600));
+    const auto signatures = run_campaign(options.socket_path, 1);
+    ASSERT_EQ(signatures.size(), 1u);
+    EXPECT_GT(signatures[0].probes, 0u);
+
+    // The controller hangs up on the expired agent: its run() sees EOF and
+    // returns before any drain is requested.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (!silent_done.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    EXPECT_TRUE(silent_done.load()) << "expired agent left connected";
+
+    daemon.request_drain();
+    daemon.wait_until_drained();
+    survivor_thread.join();
+    silent_thread.join();
+    stats = daemon.sched_stats();
+    daemon.stop();
+  }
+
+  EXPECT_TRUE(silent_clean) << "EOF from the controller is a clean exit";
+  EXPECT_EQ(silent.counters().executed, 0u);
+  EXPECT_EQ(silent.counters().heartbeats, 0u);
+  EXPECT_TRUE(survivor_clean);
+  EXPECT_GT(survivor.counters().executed, 0u);
+  EXPECT_EQ(stats.agents_expired, 1u);
 }
 
 }  // namespace

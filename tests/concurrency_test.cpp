@@ -548,7 +548,10 @@ class ParallelCampaignTest : public ::testing::Test {
     std::string s = std::to_string(r.destination) + ">" +
                     std::to_string(r.source) + ":" + core::to_string(r.status);
     for (const auto& hop : r.hops) {
-      s += "|" + hop.addr.to_string() + "/" + core::to_string(hop.source);
+      s += "|";
+      s += hop.addr.to_string();
+      s += "/";
+      s += core::to_string(hop.source);
     }
     return s;
   }

@@ -243,7 +243,8 @@ TEST_F(EngineFixture, DeterministicAcrossRuns) {
       const auto result = lab.engine.measure(dests[i], source, clock);
       std::string line = to_string(result.status);
       for (const auto& hop : result.hops) {
-        line += " " + hop.addr.to_string();
+        line += " ";
+        line += hop.addr.to_string();
       }
       summary.push_back(line);
     }

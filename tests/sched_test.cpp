@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <memory>
+#include <thread>
 
 #include "analysis/invariants.h"
 #include "eval/harness.h"
@@ -409,6 +412,71 @@ TEST_F(SchedFixture, ExpireAgentsDetachesSilentOnes) {
   // Expiry is idempotent — the survivor heartbeated recently.
   EXPECT_TRUE(
       scheduler.expire_agents(1'000'000, 500'000).empty());
+}
+
+TEST_F(SchedFixture, DeliveriesCountAsLivenessButSilenceExpires) {
+  constexpr std::int64_t kTimeout = 500'000;
+  ProbeScheduler scheduler;
+  // `busy` never heartbeats; it only answers assignments, one every
+  // timeout/2. `silent` is attached at the same time and says nothing.
+  const auto busy = scheduler.attach_agent(/*window=*/8, /*now_us=*/0);
+  const auto silent = scheduler.attach_agent(/*window=*/8, /*now_us=*/0);
+  bool silent_expired = false;
+  std::uint64_t task = 1;
+  for (std::int64_t now = kTimeout / 2; now <= 4 * kTimeout;
+       now += kTimeout / 2) {
+    scheduler.submit(task, 0, {ping_demand(0, task % 20)});
+    const auto assignments = scheduler.next_assignments(busy);
+    ASSERT_EQ(assignments.size(), 1u) << "at " << now;
+    const auto reply = probing::execute_spec(lab_->prober, assignments[0].spec);
+    ASSERT_TRUE(scheduler.deliver_assignment(busy, assignments[0].ticket,
+                                             reply, now));
+    ASSERT_EQ(scheduler.collect_ready(0).size(), 1u);
+    ++task;
+
+    const auto expired = scheduler.expire_agents(now, kTimeout);
+    EXPECT_TRUE(std::find(expired.begin(), expired.end(), busy) ==
+                expired.end())
+        << "busy agent expired at " << now;
+    if (std::find(expired.begin(), expired.end(), silent) != expired.end()) {
+      EXPECT_GT(now, kTimeout) << "silent agent expired early";
+      silent_expired = true;
+    }
+  }
+  EXPECT_TRUE(silent_expired);
+  EXPECT_EQ(scheduler.stats().agents_expired, 1u);
+}
+
+TEST_F(SchedFixture, WaitForProgressWakesOnDeliveryAndTimesOutWhenIdle) {
+  ProbeScheduler scheduler;
+  const auto agent = scheduler.attach_agent(/*window=*/8);
+  scheduler.submit(1, 0, {ping_demand(0, 0)});
+  const auto assignments = scheduler.next_assignments(agent);
+  ASSERT_EQ(assignments.size(), 1u);
+
+  // Nothing happens: the wait runs out its bound and reports no progress.
+  const std::uint64_t idle = scheduler.progress();
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(
+      scheduler.wait_for_progress(idle, std::chrono::milliseconds(20)));
+  EXPECT_GE(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(20));
+
+  // A delivery from another thread ends the wait long before its bound.
+  const std::uint64_t seen = scheduler.progress();
+  const auto reply = probing::execute_spec(lab_->prober, assignments[0].spec);
+  std::thread agent_thread([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    scheduler.deliver_assignment(agent, assignments[0].ticket, reply);
+  });
+  const auto t1 = std::chrono::steady_clock::now();
+  EXPECT_TRUE(scheduler.wait_for_progress(seen, std::chrono::seconds(30)));
+  EXPECT_LT(std::chrono::steady_clock::now() - t1, std::chrono::seconds(10));
+  agent_thread.join();
+  EXPECT_EQ(scheduler.collect_ready(0).size(), 1u);
+
+  // Progress already made before the wait returns at once.
+  EXPECT_TRUE(scheduler.wait_for_progress(seen, std::chrono::seconds(30)));
 }
 
 TEST_F(SchedFixture, OfflineJobsNeverDispatchButAnyWorkerStealsThem) {

@@ -8,16 +8,23 @@
 
 #include <csignal>
 #include <cstdio>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "eval/harness.h"
 #include "server/admission.h"
 #include "server/client.h"
 #include "server/daemon.h"
 #include "server/frame.h"
+#include "service/parallel.h"
+#include "service/runner.h"
 #include "service/service.h"
 #include "util/json.h"
+#include "util/sim_clock.h"
 
 namespace revtr::server {
 namespace {
@@ -492,6 +499,111 @@ TEST(ServerDaemon, SigtermDrainsThenExits) {
   EXPECT_EQ(counters.completed, 1u);
   daemon.stop();
   ServerDaemon::install_signal_handlers(nullptr);
+}
+
+// The campaign driver's staged mode and the daemon's workers are two front
+// ends over one service::RequestRunner; per-pair RevtrEngine::measure() is
+// the reference. With caches off — no request's outcome depends on what ran
+// before it — all three must agree on status and on every hop's address and
+// provenance.
+TEST(RunnerFrontEnds, DriverDaemonAndMeasureAgreeWithCachesOff) {
+  auto options = small_daemon_options("frontends");
+  options.engine.use_cache = false;
+  options.sources = 2;
+
+  // The daemon's world, rebuilt through the same public calls its start()
+  // makes, so atlas and ingress plans match the daemon's own.
+  eval::Lab lab(options.topo, options.engine, options.seed);
+  lab.precompute_all_ingresses();
+  service::RevtrService service(lab.engine, lab.atlas, lab.prober, lab.topo);
+  std::vector<topology::HostId> sources;
+  for (const topology::HostId vp : lab.topo.vantage_points()) {
+    if (sources.size() == options.sources) break;
+    if (service.add_source(vp, options.atlas_size, lab.rng)) {
+      sources.push_back(vp);
+    }
+  }
+  ASSERT_EQ(sources.size(), options.sources);
+
+  // Index i is request i everywhere: driver input position, daemon arrival
+  // order (one client, submitted in order), and the reference's reseed.
+  std::vector<std::pair<topology::HostId, topology::HostId>> pairs;
+  std::vector<Submit> submits;
+  for (std::uint32_t dest = 0; dest < 12; ++dest) {
+    for (std::uint32_t source = 0; source < sources.size(); ++source) {
+      Submit request;
+      request.request_id = pairs.size();
+      request.dest_index = dest;
+      request.source_index = source;
+      submits.push_back(request);
+      pairs.emplace_back(lab.topo.probe_hosts()[dest], sources[source]);
+    }
+  }
+
+  struct Measured {
+    core::RevtrStatus status = core::RevtrStatus::kUnreachable;
+    std::vector<ResultHop> hops;
+    bool operator==(const Measured&) const = default;
+  };
+  const auto measured_of = [](const core::ReverseTraceroute& result) {
+    Measured measured{result.status, {}};
+    for (const auto& hop : result.hops) {
+      measured.hops.push_back(ResultHop{hop.addr, hop.source});
+    }
+    return measured;
+  };
+
+  const service::CampaignDeps deps{lab.topo,    lab.plane, lab.atlas,
+                                   lab.ingress, lab.ip2as, lab.relationships};
+  std::vector<Measured> reference;
+  {
+    service::WorkerStack stack(deps, options.engine, options.seed,
+                               std::make_shared<core::EngineCaches>());
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+      stack.engine.reseed(service::request_seed(options.seed, i));
+      util::SimClock clock;
+      reference.push_back(measured_of(
+          stack.engine.measure(pairs[i].first, pairs[i].second, clock)));
+    }
+  }
+
+  service::ParallelCampaignOptions campaign;
+  campaign.workers = 2;
+  campaign.seed = options.seed;
+  campaign.engine = options.engine;
+  campaign.mode = service::EngineMode::kStaged;
+  const auto report = service::ParallelCampaignDriver(deps, campaign).run(pairs);
+  ASSERT_EQ(report.results.size(), pairs.size());
+
+  std::vector<std::optional<Measured>> served(pairs.size());
+  {
+    ServerDaemon daemon(options);
+    ASSERT_TRUE(daemon.start());
+    DaemonClient client;
+    ASSERT_TRUE(client.connect(options.socket_path));
+    ASSERT_TRUE(client.hello("demo-key").has_value());
+    for (const Submit& request : submits) {
+      ASSERT_TRUE(client.submit(request)) << request.request_id;
+    }
+    for (std::size_t n = 0; n < submits.size(); ++n) {
+      const auto result = client.next_result();
+      ASSERT_TRUE(result.has_value());
+      ASSERT_LT(result->request_id, served.size());
+      EXPECT_FALSE(result->shed);
+      served[result->request_id] = Measured{result->status, result->hops};
+    }
+    daemon.stop();
+  }
+
+  std::size_t complete = 0;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (reference[i].status == core::RevtrStatus::kComplete) ++complete;
+    EXPECT_EQ(measured_of(report.results[i]), reference[i]) << "driver, " << i;
+    ASSERT_TRUE(served[i].has_value()) << i;
+    EXPECT_EQ(*served[i], reference[i]) << "daemon, " << i;
+  }
+  // The comparison covers real reverse paths, not only failures.
+  EXPECT_GT(complete, 0u);
 }
 
 }  // namespace
