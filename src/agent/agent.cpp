@@ -1,18 +1,9 @@
 #include "agent/agent.h"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <array>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
-#include <span>
 #include <thread>
 #include <utility>
 #include <variant>
@@ -27,9 +18,9 @@ using server::AgentHeartbeat;
 using server::AgentProbe;
 using server::AgentProbeResult;
 using server::AgentRegister;
-using server::FrameError;
 using server::HelloOk;
 using server::Message;
+using ReadStatus = server::FrameSocket::ReadStatus;
 
 namespace {
 
@@ -53,7 +44,6 @@ AgentDaemon::AgentDaemon(AgentOptions options)
     : options_(std::move(options)) {}
 
 AgentDaemon::~AgentDaemon() {
-  if (fd_ >= 0) ::close(fd_);
   if (g_signal_agent.load(std::memory_order_acquire) == this) {
     install_signal_handlers(nullptr);
   }
@@ -77,100 +67,6 @@ void AgentDaemon::install_signal_handlers(AgentDaemon* agent) {
 AgentCounters AgentDaemon::counters() const {
   const util::MutexLock lock(mu_);
   return counters_;
-}
-
-bool AgentDaemon::connect_to_controller() {
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  if (options_.socket_path.size() >= sizeof(addr.sun_path)) return false;
-  std::memcpy(addr.sun_path, options_.socket_path.c_str(),
-              options_.socket_path.size() + 1);
-  // Retry while the controller is still binding, like DaemonClient.
-  for (int attempt = 0; attempt <= 50; ++attempt) {
-    const int fd = socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (fd < 0) return false;
-    if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                  sizeof(addr)) == 0) {
-      fd_ = fd;
-      return true;
-    }
-    ::close(fd);
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  return false;
-}
-
-bool AgentDaemon::send_frame(const Message& message) {
-  if (fd_ < 0) return false;
-  const auto frame = server::encode_frame(message);
-  std::size_t written = 0;
-  while (written < frame.size()) {
-    // MSG_NOSIGNAL: a controller that hung up fails the send instead of
-    // raising SIGPIPE.
-    const ssize_t n =
-        send(fd_, frame.data() + written, frame.size() - written,
-             MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      return false;
-    }
-    written += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
-std::optional<Message> AgentDaemon::read_frame(int wait_ms, bool* fatal,
-                                               bool* eof) {
-  *fatal = false;
-  *eof = false;
-  if (fd_ < 0) {
-    *eof = true;
-    return std::nullopt;
-  }
-  std::array<std::uint8_t, 16384> buf;
-  for (;;) {
-    const std::span<const std::uint8_t> avail(in_);
-    if (avail.size() >= server::kFrameHeaderSize) {
-      FrameError error = FrameError::kNone;
-      const auto header = server::decode_frame_header(avail, &error);
-      if (!header.has_value()) {
-        *fatal = true;
-        return std::nullopt;
-      }
-      const std::size_t total = server::kFrameHeaderSize + header->payload_len;
-      if (avail.size() >= total) {
-        auto decoded = server::decode_payload(
-            header->type,
-            avail.subspan(server::kFrameHeaderSize, header->payload_len),
-            &error);
-        in_.erase(in_.begin(),
-                  in_.begin() + static_cast<std::ptrdiff_t>(total));
-        if (!decoded.has_value()) *fatal = true;
-        return decoded;
-      }
-    }
-    pollfd pfd{fd_, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, wait_ms);
-    if (rc == 0) return std::nullopt;  // Timeout; caller heartbeats.
-    if (rc < 0) {
-      if (errno == EINTR) {
-        // A drain signal may have landed; let the caller's loop notice.
-        if (drain_requested_.load(std::memory_order_acquire)) {
-          return std::nullopt;
-        }
-        continue;
-      }
-      *fatal = true;
-      return std::nullopt;
-    }
-    const ssize_t n = read(fd_, buf.data(), buf.size());
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      *eof = true;  // Controller hung up (or hard error).
-      return std::nullopt;
-    }
-    in_.insert(in_.end(), buf.data(), buf.data() + n);
-  }
 }
 
 void AgentDaemon::pace(topology::HostId vp) {
@@ -224,14 +120,13 @@ bool AgentDaemon::handle_assignment(const AgentProbe& probe) {
     const util::MutexLock lock(mu_);
     executed = ++counters_.executed;
   }
-  if (!send_frame(AgentProbeResult{probe.ticket, std::move(reply)})) {
+  if (!socket_.send(AgentProbeResult{probe.ticket, std::move(reply)})) {
     return false;
   }
   if (options_.die_after_probes > 0 && executed >= options_.die_after_probes) {
     // Crash hook: vanish abruptly, leaving every unanswered assignment in
     // flight for the controller to reassign.
-    ::close(fd_);
-    fd_ = -1;
+    socket_.close();
     return false;
   }
   return true;
@@ -249,7 +144,8 @@ bool AgentDaemon::run() {
       std::make_unique<sim::Network>(lab_->topo, lab_->plane, net_seed);
   prober_ = std::make_unique<probing::Prober>(*network_);
 
-  if (!connect_to_controller()) {
+  // Retries while the controller is still binding, like DaemonClient.
+  if (!socket_.connect(options_.socket_path)) {
     std::fprintf(stderr, "revtr_agentd: cannot connect to %s\n",
                  options_.socket_path.c_str());
     return false;
@@ -258,15 +154,13 @@ bool AgentDaemon::run() {
   reg.proto_version = server::kProtoVersion;
   reg.window = static_cast<std::uint32_t>(options_.window);
   reg.name = options_.name;
-  if (!send_frame(reg)) return false;
+  if (!socket_.send(reg)) return false;
 
-  bool fatal = false;
-  bool eof = false;
-  const auto ack = read_frame(/*wait_ms=*/-1, &fatal, &eof);
-  if (!ack.has_value() || !std::holds_alternative<HelloOk>(*ack)) {
+  std::optional<Message> ack;
+  if (socket_.read(ack, /*timeout_ms=*/-1) != ReadStatus::kMessage ||
+      !std::holds_alternative<HelloOk>(*ack)) {
     std::fprintf(stderr, "revtr_agentd: register rejected\n");
-    ::close(fd_);
-    fd_ = -1;
+    socket_.close();
     return false;
   }
   agent_id_.store(std::get<HelloOk>(*ack).tenant, std::memory_order_release);
@@ -276,7 +170,7 @@ bool AgentDaemon::run() {
   auto last_beat = std::chrono::steady_clock::now();
   bool draining = false;
   bool clean = false;
-  while (fd_ >= 0) {
+  while (socket_.connected()) {
     if (drain_requested_.load(std::memory_order_acquire)) draining = true;
     if (draining) {
       // Everything read has been answered; say goodbye and leave. The
@@ -287,7 +181,7 @@ bool AgentDaemon::run() {
         const util::MutexLock lock(mu_);
         executed = counters_.executed;
       }
-      send_frame(AgentDrain{executed});
+      socket_.send(AgentDrain{executed});
       clean = true;
       break;
     }
@@ -301,24 +195,25 @@ bool AgentDaemon::run() {
         ++counters_.heartbeats;
         executed = counters_.executed;
       }
-      if (!send_frame(AgentHeartbeat{0, executed})) break;
+      if (!socket_.send(AgentHeartbeat{0, executed})) break;
       last_beat = now;
     }
     const auto until_beat =
         std::chrono::ceil<std::chrono::milliseconds>(heartbeat -
                                                      (now - last_beat));
-    auto message = read_frame(static_cast<int>(until_beat.count()), &fatal,
-                              &eof);
-    if (fatal) break;  // Protocol error: unclean exit.
-    if (eof) {
+    std::optional<Message> message;
+    const ReadStatus status =
+        socket_.read(message, static_cast<int>(until_beat.count()));
+    if (status == ReadStatus::kProtocolError) break;  // Unclean exit.
+    if (status == ReadStatus::kClosed) {
       // Controller hung up (or expired us). Nothing is half-answered
       // (assignments are handled synchronously), so this is a clean end.
       clean = true;
       break;
     }
-    // Timeout (or a drain signal interrupted the wait): the loop top
-    // heartbeats if one is due.
-    if (!message.has_value()) continue;
+    // Timeout: the loop top notices a drain request and heartbeats if one
+    // is due.
+    if (status == ReadStatus::kTimeout) continue;
     if (const AgentProbe* probe = std::get_if<AgentProbe>(&*message)) {
       if (!handle_assignment(*probe)) break;
       continue;
@@ -330,8 +225,7 @@ bool AgentDaemon::run() {
     // Anything else from the controller is a protocol error.
     break;
   }
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = -1;
+  socket_.close();
   return clean;
 }
 

@@ -31,13 +31,11 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "eval/harness.h"
-#include "server/frame.h"
+#include "server/client.h"
 #include "topology/builder.h"
 #include "util/annotate.h"
 
@@ -111,13 +109,6 @@ class AgentDaemon {
     std::int64_t last_refill_us = 0;
   };
 
-  bool connect_to_controller();
-  bool send_frame(const server::Message& message);
-  // Decodes one whole frame from in_, reading more bytes as needed;
-  // `wait_ms` < 0 blocks. nullopt with *fatal=false is timeout/EOF, with
-  // *fatal=true a protocol error.
-  std::optional<server::Message> read_frame(int wait_ms, bool* fatal,
-                                            bool* eof);
   // Executes one assignment (validation, pacing, probe, result frame).
   // False when the send failed or the crash hook fired.
   bool handle_assignment(const server::AgentProbe& probe);
@@ -134,8 +125,7 @@ class AgentDaemon {
   std::unique_ptr<probing::Prober>
       prober_;  // lint: lock-free(run thread only)
 
-  int fd_ = -1;  // lint: lock-free(run thread only)
-  std::vector<std::uint8_t> in_;  // lint: lock-free(run thread only)
+  server::FrameSocket socket_;  // lint: lock-free(run thread only)
   std::unordered_map<topology::HostId, Pacer>
       pacers_;  // lint: lock-free(run thread only)
   std::atomic<std::uint64_t> agent_id_{0};  // Set once at register.

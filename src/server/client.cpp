@@ -17,15 +17,30 @@
 
 namespace revtr::server {
 
-DaemonClient::~DaemonClient() { close(); }
+namespace {
 
-void DaemonClient::close() {
-  if (fd_ >= 0) ::close(fd_);
-  fd_ = -1;
-  in_.clear();
+// Milliseconds left until `deadline`, clamped to [0, INT_MAX] for poll().
+int ms_until(std::chrono::steady_clock::time_point deadline) {
+  const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+                        deadline - std::chrono::steady_clock::now())
+                        .count();
+  return static_cast<int>(std::clamp<long long>(
+      left, 0, std::numeric_limits<int>::max()));
 }
 
-bool DaemonClient::connect(const std::string& socket_path, int retries) {
+}  // namespace
+
+// --- FrameSocket. -----------------------------------------------------------
+
+FrameSocket::~FrameSocket() { close(); }
+
+void FrameSocket::close() noexcept {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+  in_ = FrameReader();
+}
+
+bool FrameSocket::connect(const std::string& socket_path, int retries) {
   close();
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;
@@ -45,13 +60,15 @@ bool DaemonClient::connect(const std::string& socket_path, int retries) {
   return false;
 }
 
-bool DaemonClient::send_frame(const Message& message) {
+bool FrameSocket::send(const Message& message) {
   if (fd_ < 0) return false;
   const auto frame = encode_frame(message);
   std::size_t written = 0;
   while (written < frame.size()) {
-    const ssize_t n =
-        write(fd_, frame.data() + written, frame.size() - written);
+    // MSG_NOSIGNAL: a peer that hung up fails the send instead of raising
+    // SIGPIPE, which no tool ignores.
+    const ssize_t n = ::send(fd_, frame.data() + written,
+                             frame.size() - written, MSG_NOSIGNAL);
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
       return false;
@@ -61,38 +78,54 @@ bool DaemonClient::send_frame(const Message& message) {
   return true;
 }
 
-std::optional<Message> DaemonClient::read_frame() {
-  if (fd_ < 0) return std::nullopt;
+FrameSocket::ReadStatus FrameSocket::read(std::optional<Message>& out,
+                                          int timeout_ms) {
+  out.reset();
+  if (fd_ < 0) return ReadStatus::kClosed;
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(std::max(timeout_ms, 0));
   std::array<std::uint8_t, 16384> buf;
   for (;;) {
-    // Try to decode a whole frame from what we have.
-    const std::span<const std::uint8_t> avail(in_);
-    if (avail.size() >= kFrameHeaderSize) {
-      FrameError error = FrameError::kNone;
-      const auto header = decode_frame_header(avail, &error);
-      if (!header.has_value()) return std::nullopt;
-      const std::size_t total = kFrameHeaderSize + header->payload_len;
-      if (avail.size() >= total) {
-        auto decoded = decode_payload(
-            header->type, avail.subspan(kFrameHeaderSize, header->payload_len),
-            &error);
-        in_.erase(in_.begin(), in_.begin() + static_cast<std::ptrdiff_t>(total));
-        return decoded;
+    // Every whole frame already buffered goes out before the socket is
+    // touched again.
+    FrameError error = FrameError::kNone;
+    out = in_.next(&error);
+    if (out.has_value()) return ReadStatus::kMessage;
+    if (error != FrameError::kNone) {
+      close();
+      return ReadStatus::kProtocolError;
+    }
+    // A blocking read needs no poll(); a bounded one waits on poll() first.
+    if (timeout_ms >= 0) {
+      pollfd pfd{fd_, POLLIN, 0};
+      const int rc = ::poll(&pfd, 1, ms_until(deadline));
+      if (rc == 0) return ReadStatus::kTimeout;
+      if (rc < 0) {
+        if (errno == EINTR) continue;
+        close();
+        return ReadStatus::kClosed;
       }
     }
-    const ssize_t n = read(fd_, buf.data(), buf.size());
+    const ssize_t n = ::read(fd_, buf.data(), buf.size());
     if (n <= 0) {
       if (n < 0 && errno == EINTR) continue;
-      return std::nullopt;  // EOF or hard error.
+      close();  // EOF or hard error: the peer went away.
+      return ReadStatus::kClosed;
     }
-    in_.insert(in_.end(), buf.data(), buf.data() + n);
+    in_.append(std::span(buf.data(), static_cast<std::size_t>(n)));
   }
 }
 
-std::optional<Message> DaemonClient::wait_for(FrameType a, FrameType b) {
+// --- DaemonClient. ----------------------------------------------------------
+
+std::optional<Message> DaemonClient::round_trip(const Message& request,
+                                                FrameType a, FrameType b) {
+  if (!socket_.send(request)) return std::nullopt;
   for (;;) {
-    auto message = read_frame();
-    if (!message.has_value()) return std::nullopt;
+    std::optional<Message> message;
+    if (socket_.read(message, -1) != FrameSocket::ReadStatus::kMessage) {
+      return std::nullopt;
+    }
     const FrameType type = frame_type_of(*message);
     if (type == a || type == b) return message;
     if (Result* result = std::get_if<Result>(&*message)) {
@@ -110,8 +143,7 @@ std::optional<HelloOk> DaemonClient::hello(const std::string& api_key,
   request.proto_version = kProtoVersion;
   request.push_results = push_results;
   request.api_key = api_key;
-  if (!send_frame(request)) return std::nullopt;
-  auto reply = wait_for(FrameType::kHelloOk, FrameType::kHelloErr);
+  auto reply = round_trip(request, FrameType::kHelloOk, FrameType::kHelloErr);
   if (!reply.has_value()) return std::nullopt;
   if (const HelloErr* err = std::get_if<HelloErr>(&*reply)) {
     reject_reason_ = err->reason;
@@ -122,8 +154,8 @@ std::optional<HelloOk> DaemonClient::hello(const std::string& api_key,
 
 bool DaemonClient::submit(const Submit& request) {
   reject_reason_.reset();
-  if (!send_frame(request)) return false;
-  auto reply = wait_for(FrameType::kSubmitOk, FrameType::kSubmitErr);
+  auto reply =
+      round_trip(request, FrameType::kSubmitOk, FrameType::kSubmitErr);
   if (!reply.has_value()) return false;
   if (const SubmitErr* err = std::get_if<SubmitErr>(&*reply)) {
     reject_reason_ = err->reason;
@@ -133,20 +165,9 @@ bool DaemonClient::submit(const Submit& request) {
 }
 
 std::optional<Result> DaemonClient::next_result() {
-  if (!results_.empty()) {
-    Result result = std::move(results_.front());
-    results_.pop_front();
-    return result;
-  }
-  for (;;) {
-    auto message = read_frame();
-    if (!message.has_value()) return std::nullopt;
-    if (Result* result = std::get_if<Result>(&*message)) {
-      return std::move(*result);
-    }
-    // Any other frame here is unexpected (we only read results between
-    // round trips); drop it rather than desynchronize.
-  }
+  std::optional<Result> out;
+  next_result_for(out, /*timeout_ms=*/0);
+  return out;
 }
 
 DaemonClient::WaitStatus DaemonClient::next_result_for(
@@ -157,62 +178,25 @@ DaemonClient::WaitStatus DaemonClient::next_result_for(
     results_.pop_front();
     return WaitStatus::kOk;
   }
-  if (fd_ < 0) return WaitStatus::kDisconnected;
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
-  std::array<std::uint8_t, 16384> buf;
   for (;;) {
-    // Decode every whole frame already buffered before touching the socket.
-    for (;;) {
-      const std::span<const std::uint8_t> avail(in_);
-      if (avail.size() < kFrameHeaderSize) break;
-      FrameError error = FrameError::kNone;
-      const auto header = decode_frame_header(avail, &error);
-      if (!header.has_value()) {
-        close();
+    std::optional<Message> message;
+    switch (socket_.read(message, timeout_ms > 0 ? ms_until(deadline) : -1)) {
+      case FrameSocket::ReadStatus::kMessage:
+        break;
+      case FrameSocket::ReadStatus::kTimeout:
+        return WaitStatus::kTimeout;
+      case FrameSocket::ReadStatus::kClosed:
+      case FrameSocket::ReadStatus::kProtocolError:
         return WaitStatus::kDisconnected;
-      }
-      const std::size_t total = kFrameHeaderSize + header->payload_len;
-      if (avail.size() < total) break;
-      auto decoded = decode_payload(
-          header->type, avail.subspan(kFrameHeaderSize, header->payload_len),
-          &error);
-      in_.erase(in_.begin(), in_.begin() + static_cast<std::ptrdiff_t>(total));
-      if (!decoded.has_value()) {
-        close();
-        return WaitStatus::kDisconnected;
-      }
-      if (Result* result = std::get_if<Result>(&*decoded)) {
-        out = std::move(*result);
-        return WaitStatus::kOk;
-      }
-      // Other frames between round trips are dropped, like next_result().
     }
-    int wait_ms = -1;
-    if (timeout_ms > 0) {
-      const auto left =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              deadline - std::chrono::steady_clock::now())
-              .count();
-      if (left <= 0) return WaitStatus::kTimeout;
-      wait_ms = static_cast<int>(
-          std::min<long long>(left, std::numeric_limits<int>::max()));
+    if (Result* result = std::get_if<Result>(&*message)) {
+      out = std::move(*result);
+      return WaitStatus::kOk;
     }
-    pollfd pfd{fd_, POLLIN, 0};
-    const int rc = ::poll(&pfd, 1, wait_ms);
-    if (rc == 0) return WaitStatus::kTimeout;
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      close();
-      return WaitStatus::kDisconnected;
-    }
-    const ssize_t n = read(fd_, buf.data(), buf.size());
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      close();  // EOF or hard error: the daemon went away mid-wait.
-      return WaitStatus::kDisconnected;
-    }
-    in_.insert(in_.end(), buf.data(), buf.data() + n);
+    // Any other frame between round trips is unexpected (results are only
+    // read between them); drop it rather than desynchronize.
   }
 }
 
@@ -220,22 +204,21 @@ std::optional<std::uint32_t> DaemonClient::poll_results(
     std::uint32_t max_results) {
   Poll request;
   request.max_results = max_results;
-  if (!send_frame(request)) return std::nullopt;
-  auto reply = wait_for(FrameType::kPollDone, FrameType::kPollDone);
+  auto reply = round_trip(request, FrameType::kPollDone, FrameType::kPollDone);
   if (!reply.has_value()) return std::nullopt;
   return std::get<PollDone>(*reply).pending;
 }
 
 std::optional<std::string> DaemonClient::stats() {
-  if (!send_frame(Stats{})) return std::nullopt;
-  auto reply = wait_for(FrameType::kStatsReply, FrameType::kStatsReply);
+  auto reply =
+      round_trip(Stats{}, FrameType::kStatsReply, FrameType::kStatsReply);
   if (!reply.has_value()) return std::nullopt;
   return std::get<StatsReply>(*std::move(reply)).json;
 }
 
 std::optional<DrainDone> DaemonClient::drain() {
-  if (!send_frame(Drain{})) return std::nullopt;
-  auto reply = wait_for(FrameType::kDrainDone, FrameType::kDrainDone);
+  auto reply =
+      round_trip(Drain{}, FrameType::kDrainDone, FrameType::kDrainDone);
   if (!reply.has_value()) return std::nullopt;
   return std::get<DrainDone>(*reply);
 }

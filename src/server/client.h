@@ -1,4 +1,9 @@
-// Blocking client for the revtr_serverd framed protocol (server/frame.h).
+// Blocking peers of the revtr_serverd framed protocol (server/frame.h).
+//
+// FrameSocket is the socket plumbing every blocking peer shares — the API
+// client below and the VP agent (agent/agent.h): connect with retries,
+// whole-frame sends that never raise SIGPIPE, and frame reads with a
+// timeout. Undecodable bytes close the connection.
 //
 // One DaemonClient owns one AF_UNIX stream connection. All calls run on the
 // caller's thread with blocking I/O — the replayer gives each connection
@@ -12,25 +17,53 @@
 #include <deque>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "server/frame.h"
 
 namespace revtr::server {
 
-class DaemonClient {
+class FrameSocket {
  public:
-  DaemonClient() = default;
-  ~DaemonClient();
+  FrameSocket() = default;
+  ~FrameSocket();
 
-  DaemonClient(const DaemonClient&) = delete;
-  DaemonClient& operator=(const DaemonClient&) = delete;
+  FrameSocket(const FrameSocket&) = delete;
+  FrameSocket& operator=(const FrameSocket&) = delete;
 
-  // Connects to the daemon's socket, retrying (20 ms apart) while the
-  // daemon is still binding. False after all retries fail.
+  // Connects to an AF_UNIX stream socket, retrying (20 ms apart) while the
+  // peer is still binding. False after all retries fail.
   bool connect(const std::string& socket_path, int retries = 50);
   bool connected() const noexcept { return fd_ >= 0; }
-  void close();
+  void close() noexcept;
+
+  // Encodes and writes one whole frame. False when the peer is gone (a
+  // hung-up peer fails the send; it never raises SIGPIPE).
+  bool send(const Message& message);
+
+  enum class ReadStatus : std::uint8_t {
+    kMessage = 0,    // `out` holds the next frame.
+    kTimeout,        // timeout_ms elapsed; the connection is still usable.
+    kClosed,         // EOF or a socket error; the connection is closed.
+    kProtocolError,  // Undecodable bytes; the connection is closed.
+  };
+
+  // Next whole frame, from bytes already buffered or else off the socket.
+  // timeout_ms < 0 blocks until a frame, EOF or an error.
+  ReadStatus read(std::optional<Message>& out, int timeout_ms);
+
+ private:
+  int fd_ = -1;
+  FrameReader in_;
+};
+
+class DaemonClient {
+ public:
+  // Connects to the daemon's socket (see FrameSocket::connect).
+  bool connect(const std::string& socket_path, int retries = 50) {
+    return socket_.connect(socket_path, retries);
+  }
+  bool connected() const noexcept { return socket_.connected(); }
+  void close() noexcept { socket_.close(); }
 
   // HELLO handshake. Empty result on transport error or HELLO_ERR
   // (reject_reason() says why).
@@ -43,6 +76,7 @@ class DaemonClient {
   bool submit(const Submit& request);
 
   // Next RESULT: from the stash, else blocking-read until one arrives.
+  // Empty when the connection is gone.
   std::optional<Result> next_result();
 
   // Outcome of a bounded wait. Distinguishes "the daemon is slow" from
@@ -77,16 +111,13 @@ class DaemonClient {
   std::size_t stashed_results() const noexcept { return results_.size(); }
 
  private:
-  bool send_frame(const Message& message);
-  // One whole frame off the socket (blocking). Empty on EOF, error, or an
-  // undecodable frame.
-  std::optional<Message> read_frame();
-  // Reads frames until one satisfies `want` (by FrameType), stashing
-  // RESULTs encountered on the way.
-  std::optional<Message> wait_for(FrameType a, FrameType b);
+  // Sends `request`, then reads frames until one of type `a` or `b`,
+  // stashing RESULTs encountered on the way. Empty on a transport error or
+  // any other frame.
+  std::optional<Message> round_trip(const Message& request, FrameType a,
+                                    FrameType b);
 
-  int fd_ = -1;
-  std::vector<std::uint8_t> in_;
+  FrameSocket socket_;
   std::deque<Result> results_;
   std::optional<RejectReason> reject_reason_;
 };

@@ -39,7 +39,7 @@ void drain_signal_handler(int /*signum*/) {
 struct ServerDaemon::Conn {
   int fd = -1;
   std::uint64_t id = 0;
-  std::vector<std::uint8_t> in;
+  FrameReader in;
   std::vector<std::uint8_t> out;
   // Pull mode: encoded RESULT frames buffered until the client POLLs.
   std::deque<std::vector<std::uint8_t>> pull_queue;
@@ -707,40 +707,24 @@ void ServerDaemon::net_loop() {
         for (;;) {
           const ssize_t n = read(conn.fd, buf.data(), buf.size());
           if (n > 0) {
-            conn.in.insert(conn.in.end(), buf.data(), buf.data() + n);
+            conn.in.append(
+                std::span(buf.data(), static_cast<std::size_t>(n)));
             continue;
           }
           if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
           conn.closed = true;  // EOF or hard error.
           break;
         }
-        // Decode every complete frame in the input buffer; partial frames
-        // wait for more bytes (stream reassembly is not an error).
-        std::size_t consumed = 0;
+        // Handle every complete frame; a partial one waits for more bytes
+        // (stream reassembly is not an error).
         while (!conn.closed) {
-          const auto avail =
-              std::span<const std::uint8_t>(conn.in).subspan(consumed);
-          if (avail.size() < kFrameHeaderSize) break;
           FrameError error = FrameError::kNone;
-          const auto header = decode_frame_header(avail, &error);
-          if (!header.has_value()) {
-            protocol_error(conn);
+          auto message = conn.in.next(&error);
+          if (!message.has_value()) {
+            if (error != FrameError::kNone) protocol_error(conn);
             break;
           }
-          if (avail.size() < kFrameHeaderSize + header->payload_len) break;
-          auto decoded = decode_payload(
-              header->type,
-              avail.subspan(kFrameHeaderSize, header->payload_len), &error);
-          consumed += kFrameHeaderSize + header->payload_len;
-          if (!decoded.has_value()) {
-            protocol_error(conn);
-            break;
-          }
-          handle_message(conn, *std::move(decoded));
-        }
-        if (consumed > 0) {
-          conn.in.erase(conn.in.begin(),
-                        conn.in.begin() + static_cast<std::ptrdiff_t>(consumed));
+          handle_message(conn, *std::move(message));
         }
       }
       if (!conn.closed && !conn.out.empty()) try_flush(conn);

@@ -11,9 +11,11 @@
 // The decoder is total in the same sense as net::decode_packet: any byte
 // string either decodes to a Message or is rejected with a FrameError naming
 // the first violated invariant — never a crash, never an out-of-bounds read
-// (everything flows through util::ByteReader). The frame grammar and the
-// tenant/priority/deadline model are documented in DESIGN.md §14; ROADMAP
-// item 5 (controller / VP-agent split) reuses this codec.
+// (everything flows through util::ByteReader). Each message's payload layout
+// is written once, as a field walk in frame.cpp that both the encoder and
+// the decoder run. The frame grammar and the tenant/priority/deadline model
+// are documented in DESIGN.md §14; the controller <-> VP-agent frames
+// (DESIGN.md §15) share this codec.
 #pragma once
 
 #include <cstdint>
@@ -300,9 +302,24 @@ std::optional<Message> decode_payload(FrameType type,
                                       FrameError* error = nullptr);
 
 // Total decode of exactly one whole frame. Convenience for tests and the
-// fuzzer; stream readers use decode_frame_header + decode_payload so a
-// partial read is "wait for more bytes", not an error.
+// fuzzer; stream readers use FrameReader so a partial read is "wait for
+// more bytes", not an error.
 std::optional<Message> decode_frame(std::span<const std::uint8_t> bytes,
                                     FrameError* error = nullptr);
+
+// Stream reassembly for one connection, shared by every peer: append() what
+// a socket read returned, then pop whole frames with next() until it comes
+// back empty. Empty with *error == kNone means "need more bytes"; any other
+// error is a protocol violation, after which the stream is unusable and the
+// caller closes the connection.
+class FrameReader {
+ public:
+  void append(std::span<const std::uint8_t> bytes);
+  std::optional<Message> next(FrameError* error = nullptr);
+
+ private:
+  std::vector<std::uint8_t> buf_;
+  std::size_t pos_ = 0;  // Start of the first frame not yet popped.
+};
 
 }  // namespace revtr::server

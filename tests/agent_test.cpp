@@ -124,6 +124,12 @@ TEST(AgentSplit, RemoteCampaignByteIdenticalToMonolithAndI7Holds) {
     ASSERT_TRUE(daemon.start());
     std::thread thread_a([&] { a_clean = agent_a.run(); });
     std::thread thread_b([&] { b_clean = agent_b.run(); });
+    // Start the campaign once both agents are registered, or on a loaded
+    // machine the first one can take every probe before the second has
+    // built its Lab.
+    while (agent_a.agent_id() == 0 || agent_b.agent_id() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     remote = run_campaign(options.socket_path, kRequests);
     // Drain: the controller finishes accepted work, then sends AGENT_DRAIN
     // to both agents, which exit their run loops cleanly.

@@ -173,6 +173,9 @@ TEST(DistributionConcurrency, ReaderRacingWriterIsSafe) {
     for (int i = 0; i < kSamples; ++i) dist.add(i);
   });
   std::thread reader([&dist] {
+    // quantile() of an empty distribution throws; start once the writer's
+    // first add() has landed.
+    while (dist.count() == 0) std::this_thread::yield();
     for (int i = 0; i < 2000; ++i) {
       const double q = dist.quantile(0.5);
       EXPECT_GE(q, 0.0);

@@ -5,9 +5,13 @@
 //
 // Suite names matter: scripts/check.sh re-runs ServerDaemon* under TSan.
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
 
 #include <csignal>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -222,6 +226,41 @@ TEST(ServiceQuota, ChargeRefundRoundTrip) {
   EXPECT_EQ(service.requests_charged_today(user), 1u);
   EXPECT_EQ(service.try_charge_request(user), Decision::kCharged);
   EXPECT_EQ(service.try_charge_request(user), Decision::kQuotaExhausted);
+}
+
+// --- Client against a peer that hangs up. ----------------------------------
+
+TEST(ServerClient, HungUpPeerFailsWithoutSigpipe) {
+  // The peer accepts and closes at once, so every send hits EPIPE. A send
+  // without MSG_NOSIGNAL would kill this process with SIGPIPE; instead the
+  // calls report a transport error (no reject reason) and return.
+  const std::string path = "/tmp/revtr_server_test_hangup.sock";
+  ::unlink(path.c_str());
+  const int listener = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  ASSERT_GE(listener, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  ASSERT_EQ(::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listener, 1), 0);
+
+  DaemonClient client;
+  ASSERT_TRUE(client.connect(path));
+  const int peer = ::accept(listener, nullptr, nullptr);
+  ASSERT_GE(peer, 0);
+  ::close(peer);
+
+  EXPECT_FALSE(client.hello("demo-key").has_value());
+  EXPECT_FALSE(client.reject_reason().has_value());
+  Submit request;
+  request.request_id = 1;
+  EXPECT_FALSE(client.submit(request));
+  EXPECT_FALSE(client.reject_reason().has_value());
+
+  ::close(listener);
+  ::unlink(path.c_str());
 }
 
 // --- Daemon end-to-end over a real socket. --------------------------------

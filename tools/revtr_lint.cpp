@@ -78,8 +78,10 @@
 // they share the stripped-token model above plus a lexical scope tracker
 // (brace depth), a function-definition scanner, and a cross-file collect
 // phase that runs over every file before any file is judged.
-//   taint            Untrusted-input taint, scoped to src/net/ and
-//                    src/probing/ (the wire trust boundary). A local whose
+//   taint            Untrusted-input taint, scoped to the wire trust
+//                    boundary: src/net/ and src/probing/ (packets off the
+//                    simulated Internet) plus src/server/ and src/agent/
+//                    (the pre-auth frame decoder and its peers). A local whose
 //                    initializer reads network bytes (ByteReader .u8/.u16/
 //                    .u32/.peek_u8, or any `reply` field of a probe result)
 //                    is tainted; taint propagates through assignment.
@@ -1101,7 +1103,8 @@ class Linter {
       check_lock_order(rel, code, raw_lines, module);
       check_guard_escape(rel, code, raw_lines);
     }
-    if (module == "net" || module == "probing") {
+    if (module == "net" || module == "probing" || module == "server" ||
+        module == "agent") {
       check_taint(rel, code_lines, raw_lines);
     }
     static const std::regex kStageDispatch(R"(\bcase\s+Stage\s*::)");
@@ -1414,7 +1417,7 @@ class Linter {
     }
   }
 
-  // --- Untrusted-input taint (src/net, src/probing). -----------------------
+  // --- Untrusted-input taint (net, probing, server, agent). ----------------
   //
   // Per-line forward scan with brace-depth scoping. Sources taint a local;
   // checked_cast/truncate_cast on the right-hand side or an adjacent bounds
@@ -2623,8 +2626,19 @@ int run_self_test() {
                        "}\n");
     expect(count_rule(linter, "taint") == 0, "scope exit clears taint");
   }
+  {  // The frame decoder is a trust boundary too: a ByteReader-derived
+     // count used as an allocation size in src/server is flagged.
+    Linter linter{fs::path(".")};
+    linter.lint_source("src/server/x.cpp",
+                       "void f(ByteReader& r) {\n"
+                       "  const std::size_t count = r.u16();\n"
+                       "  items.reserve(count);\n"
+                       "}\n");
+    expect(count_rule(linter, "taint") == 1,
+           "unchecked frame count flagged in src/server");
+  }
   {  // Member assignments and bulk-copy calls are not sinks, and the pass
-     // only runs for src/net and src/probing.
+     // only runs for the trust-boundary modules.
     Linter linter{fs::path(".")};
     linter.lint_source("src/net/x.cpp",
                        "void f(ByteReader& r) {\n"
@@ -2637,7 +2651,7 @@ int run_self_test() {
                        "  out.resize(len);\n"
                        "}\n");
     expect(count_rule(linter, "taint") == 0,
-           "member stores not sinks; pass scoped to net/probing");
+           "member stores not sinks; pass scoped to trust-boundary modules");
   }
 
   // --- Guard-escape fixtures. -----------------------------------------------
