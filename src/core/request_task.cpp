@@ -317,6 +317,8 @@ void RequestTask::begin_spoofed() {
   // surveys separately); the outcome reports them in offline_probes.
   if (metrics() != nullptr) metrics()->rr_ingress_discovery->add();
   open_stage("ingress-discovery");
+  // Runs on whichever worker's pump takes it, never alongside a wire probe
+  // (ProbeScheduler's probe gate): it touches this engine's prober.
   sched::ProbeDemand demand;
   demand.offline_work = [this] {
     const auto before = engine_.prober_.offline_counters();

@@ -67,20 +67,14 @@ ProbeOutcome outcome_of(const probing::ProbeReply& reply) {
   return outcome;
 }
 
-ProbeOutcome execute_demand(probing::ProbeTransport& transport,
+ProbeOutcome execute_demand(probing::Prober& prober,
                             const ProbeDemand& demand) {
   if (demand.offline()) {
     ProbeOutcome outcome;
     outcome.offline_probes = demand.offline_work();
     return outcome;
   }
-  return outcome_of(transport.execute(spec_of(demand)));
-}
-
-ProbeOutcome execute_demand(probing::Prober& prober,
-                            const ProbeDemand& demand) {
-  probing::LocalProbeTransport transport(prober);
-  return execute_demand(transport, demand);
+  return outcome_of(probing::execute_spec(prober, spec_of(demand)));
 }
 
 SchedMetrics::SchedMetrics(obs::MetricsRegistry& registry) {
@@ -193,32 +187,106 @@ bool ProbeScheduler::issuable_locked(const Pending& pending) {
   return true;
 }
 
-void ProbeScheduler::deliver_locked(std::uint64_t set_id, std::size_t slot,
-                                    ProbeOutcome outcome) {
-  DemandSet& set = sets_.at(set_id);
-  set.outcomes[slot] = std::move(outcome);
-  REVTR_CHECK(set.remaining > 0);
-  if (--set.remaining == 0) {
-    ready_.push_back(set_id);
+void ProbeScheduler::assign_locked(Round& round, std::uint64_t pending_id,
+                                   AgentId executor) {
+  const std::uint64_t ticket = next_ticket_++;
+  assigned_[ticket] = Assigned{pending_id, executor, round_};
+  const ProbeDemand& demand = pending_.at(pending_id).demand;
+  round.jobs.push_back(Assignment{
+      ticket, demand.offline() ? probing::ProbeSpec{} : spec_of(demand)});
+  round.offline.push_back(demand.offline_work);
+}
+
+ProbeScheduler::Round ProbeScheduler::dispatch_round_locked(
+    AgentId executor, AgentState* agent) {
+  Round round;
+  if (queue_.empty() ||
+      (agent != nullptr && agent->inflight >= agent->window)) {
+    return round;
+  }
+  ++round_;
+  ++stats_.rounds;
+
+  // One pass over the queue in FIFO order: offline jobs and non-spoofed
+  // probes dispatch in queue order; spoofed-RR demands gather into
+  // per-ingress groups so requests sharing an ingress fill the same 3-probe
+  // batches. Demands over a VP's window or bucket stay queued for the next
+  // round. An agent gets no offline jobs (run_offline_jobs steals them), and
+  // its window is checked first so a full agent costs no VP tokens.
+  std::deque<std::uint64_t> deferred;
+  std::vector<net::Ipv4Addr> group_order;
+  util::FlatMap<std::uint64_t, std::vector<std::uint64_t>> groups;
+  for (const std::uint64_t pending_id : queue_) {
+    const Pending& pending = pending_.at(pending_id);
+    if (agent != nullptr &&
+        (pending.demand.offline() || agent->inflight >= agent->window)) {
+      deferred.push_back(pending_id);
+      continue;
+    }
+    if (!issuable_locked(pending)) {
+      ++stats_.throttled;
+      if (metrics_ != nullptr) metrics_->throttled->add();
+      deferred.push_back(pending_id);
+      continue;
+    }
+    if (agent != nullptr) ++agent->inflight;
+    if (!pending.demand.offline() &&
+        pending.demand.type == probing::ProbeType::kSpoofedRecordRoute) {
+      auto& group = groups[pending.demand.batch_ingress.value()];
+      if (group.empty()) group_order.push_back(pending.demand.batch_ingress);
+      group.push_back(pending_id);
+      continue;
+    }
+    assign_locked(round, pending_id, executor);
+  }
+  round.singles = round.jobs.size();
+  for (const net::Ipv4Addr ingress : group_order) {
+    const auto& group = groups.at(ingress.value());
+    for (std::size_t start = 0; start < group.size();
+         start += options_.spoof_batch_size) {
+      ++stats_.wire_batches;
+      if (metrics_ != nullptr) metrics_->spoof_batches->add();
+      const std::size_t len =
+          std::min(options_.spoof_batch_size, group.size() - start);
+      round.batch_sizes.push_back(len);
+      for (std::size_t i = start; i < start + len; ++i) {
+        assign_locked(round, group[i], executor);
+      }
+    }
+  }
+  queue_ = std::move(deferred);
+  if (metrics_ != nullptr) {
+    metrics_->queue_depth->set(static_cast<std::int64_t>(queue_.size()));
+  }
+  return round;
+}
+
+bool ProbeScheduler::deliver_locked(AgentId agent, std::uint64_t ticket,
+                                    ProbeOutcome outcome, PumpResult& result,
+                                    std::int64_t now_us) {
+  const auto it = assigned_.find(ticket);
+  if (it == assigned_.end() || it->second.agent != agent) {
+    // Requeued off a detached agent (or already delivered): dropping the
+    // late duplicate is what keeps fan-out and quota single-charged.
+    ++stats_.stale_results;
+    return false;
+  }
+  const Assigned assigned = it->second;
+  assigned_.erase(ticket);
+  if (const auto agent_it = agents_.find(agent); agent_it != agents_.end()) {
+    REVTR_CHECK(agent_it->second.inflight > 0);
+    --agent_it->second.inflight;
+    agent_it->second.last_heartbeat_us =
+        std::max(agent_it->second.last_heartbeat_us, now_us);
+    // The agent's window has room again, whether or not a set completed.
     note_progress_locked();
   }
-}
-
-ProbeScheduler::Pending ProbeScheduler::detach_pending_locked(
-    std::uint64_t pending_id) {
-  Pending pending = std::move(pending_.at(pending_id));
-  pending_.erase(pending_id);
-  if (const auto it = in_flight_.find(pending.key);
-      it != in_flight_.end() && it->second == pending_id) {
-    in_flight_.erase(it);
+  Pending pending = std::move(pending_.at(assigned.pending_id));
+  pending_.erase(assigned.pending_id);
+  if (options_.coalesce && !pending.demand.offline()) {
+    in_flight_.erase(pending.key);
   }
-  return pending;
-}
 
-void ProbeScheduler::account_and_deliver_locked(Pending pending,
-                                                ProbeOutcome outcome,
-                                                PumpResult& result,
-                                                std::uint64_t issue_round) {
   const std::uint64_t issue_id = next_issue_++;
   const std::uint64_t digest = outcome.digest();
   if (pending.demand.offline()) {
@@ -232,59 +300,79 @@ void ProbeScheduler::account_and_deliver_locked(Pending pending,
   }
   if (audit_ != nullptr) {
     audit_->issues.push_back(SchedulerAudit::Issue{
-        issue_id, pending.key, issue_round, pending.demand.from,
+        issue_id, pending.key, assigned.round, pending.demand.from,
         pending.demand.offline(), digest});
   }
 
   // First waiter is the demand that caused the wire probe; the rest are
   // coalesced riders and receive byte-identical copies marked as such.
   REVTR_CHECK(!pending.waiters.empty());
-  for (std::size_t i = pending.waiters.size(); i-- > 1;) {
+  for (std::size_t i = pending.waiters.size(); i-- > 0;) {
     const Waiter& waiter = pending.waiters[i];
-    ProbeOutcome copy = outcome;
-    copy.coalesced = true;
-    if (audit_ != nullptr) {
-      audit_->deliveries.push_back(
-          SchedulerAudit::Delivery{issue_id, pending.key, copy.digest()});
+    DemandSet& set = sets_.at(waiter.set);
+    ProbeOutcome& slot = set.outcomes[waiter.slot];
+    if (i == 0) {
+      slot = std::move(outcome);
+    } else {
+      slot = outcome;
+      slot.coalesced = true;
+      if (audit_ != nullptr) {
+        audit_->deliveries.push_back(
+            SchedulerAudit::Delivery{issue_id, pending.key, slot.digest()});
+      }
     }
-    deliver_locked(waiter.set, waiter.slot, std::move(copy));
+    REVTR_CHECK(set.remaining > 0);
+    if (--set.remaining == 0) {
+      ready_.push_back(waiter.set);
+      note_progress_locked();
+    }
   }
-  deliver_locked(pending.waiters.front().set, pending.waiters.front().slot,
-                 std::move(outcome));
+  return true;
 }
 
-void ProbeScheduler::issue_locked(probing::ProbeTransport& transport,
-                                  std::uint64_t pending_id,
-                                  PumpResult& result) {
-  Pending pending = detach_pending_locked(pending_id);
-  ProbeOutcome outcome = execute_demand(transport, pending.demand);
-  account_and_deliver_locked(std::move(pending), std::move(outcome), result,
-                             round_);
-}
-
-void ProbeScheduler::issue_spoof_batch_locked(
-    probing::ProbeTransport& transport, std::span<const std::uint64_t> batch,
-    PumpResult& result) {
-  batch_pendings_.clear();
-  batch_items_.clear();
-  for (const std::uint64_t pending_id : batch) {
-    Pending pending = detach_pending_locked(pending_id);
-    batch_items_.push_back(probing::RrBatchItem{
-        pending.demand.from, pending.demand.target, pending.demand.spoof_as});
-    batch_pendings_.push_back(std::move(pending));
+void ProbeScheduler::run_round(const Round& round,
+                               probing::ProbeTransport* transport,
+                               PumpResult& result) {
+  if (round.jobs.empty()) return;
+  std::vector<ProbeOutcome> outcomes(round.jobs.size());
+  for (std::size_t i = 0; i < round.singles; ++i) {
+    if (round.offline[i]) {
+      const util::ExclusiveLock gate(probe_gate_);
+      outcomes[i].offline_probes = round.offline[i]();
+    } else {
+      const util::SharedLock gate(probe_gate_);
+      outcomes[i] = outcome_of(transport->execute(round.jobs[i].spec));
+    }
   }
-  // The whole batch steps through the simulator in one pass; outcomes are
-  // byte-identical to issuing each probe alone (Prober::rr_ping_batch).
-  transport.execute_batch(batch_items_, batch_results_);
-  for (std::size_t i = 0; i < batch_pendings_.size(); ++i) {
-    probing::RrProbeResult& probe = batch_results_[i];
-    ProbeOutcome outcome;
-    outcome.responded = probe.responded;
-    outcome.slots = std::move(probe.slots);
-    outcome.duration_us = probe.duration_us;
-    outcome.packets = 1;
-    account_and_deliver_locked(std::move(batch_pendings_[i]),
-                               std::move(outcome), result, round_);
+  std::vector<probing::RrBatchItem> items;
+  std::vector<probing::RrProbeResult> results;
+  std::size_t begin = round.singles;
+  for (const std::size_t size : round.batch_sizes) {
+    items.clear();
+    for (std::size_t i = begin; i < begin + size; ++i) {
+      const probing::ProbeSpec& spec = round.jobs[i].spec;
+      items.push_back({spec.from, spec.target, spec.spoof_as});
+    }
+    {
+      // The whole batch steps through the simulator in one pass; outcomes
+      // are byte-identical to issuing each probe alone (rr_ping_batch).
+      const util::SharedLock gate(probe_gate_);
+      transport->execute_batch(items, results);
+    }
+    for (std::size_t i = 0; i < size; ++i, ++begin) {
+      outcomes[begin].responded = results[i].responded;
+      outcomes[begin].slots = std::move(results[i].slots);
+      outcomes[begin].duration_us = results[i].duration_us;
+      outcomes[begin].packets = 1;
+    }
+  }
+
+  const util::MutexLock lock(mu_);
+  for (std::size_t i = 0; i < round.jobs.size(); ++i) {
+    const bool delivered = deliver_locked(
+        kLocalExecutor, round.jobs[i].ticket, std::move(outcomes[i]), result,
+        0);
+    REVTR_CHECK(delivered);
   }
 }
 
@@ -295,53 +383,16 @@ ProbeScheduler::PumpResult ProbeScheduler::pump(probing::Prober& prober) {
 
 ProbeScheduler::PumpResult ProbeScheduler::pump(
     probing::ProbeTransport& transport) {
-  const util::MutexLock lock(mu_);
+  Round round;
+  {
+    const util::MutexLock lock(mu_);
+    round = dispatch_round_locked(kLocalExecutor, nullptr);
+    // Everything deferred: this round's refill may let the next one issue,
+    // so an idle worker must pump again rather than wait.
+    if (round.jobs.empty() && !queue_.empty()) note_progress_locked();
+  }
   PumpResult result;
-  if (queue_.empty()) return result;
-  ++round_;
-  ++stats_.rounds;
-
-  // One pass over the queue in FIFO order: offline jobs and non-spoofed
-  // probes issue immediately; spoofed-RR demands gather into per-ingress
-  // groups so requests sharing an ingress fill the same 3-probe batches.
-  // Demands over a VP's window or bucket stay queued for the next round.
-  std::deque<std::uint64_t> deferred;
-  std::vector<net::Ipv4Addr> group_order;
-  util::FlatMap<std::uint64_t, std::vector<std::uint64_t>> groups;
-  for (const std::uint64_t pending_id : queue_) {
-    const Pending& pending = pending_.at(pending_id);
-    if (!issuable_locked(pending)) {
-      ++stats_.throttled;
-      if (metrics_ != nullptr) metrics_->throttled->add();
-      deferred.push_back(pending_id);
-      continue;
-    }
-    if (!pending.demand.offline() &&
-        pending.demand.type == probing::ProbeType::kSpoofedRecordRoute) {
-      const std::uint64_t group_key = pending.demand.batch_ingress.value();
-      auto& group = groups[group_key];
-      if (group.empty()) group_order.push_back(pending.demand.batch_ingress);
-      group.push_back(pending_id);
-      continue;
-    }
-    issue_locked(transport, pending_id, result);
-  }
-  for (const net::Ipv4Addr ingress : group_order) {
-    const auto& group = groups.at(ingress.value());
-    for (std::size_t start = 0; start < group.size();
-         start += options_.spoof_batch_size) {
-      ++stats_.wire_batches;
-      if (metrics_ != nullptr) metrics_->spoof_batches->add();
-      const std::size_t len =
-          std::min(options_.spoof_batch_size, group.size() - start);
-      issue_spoof_batch_locked(
-          transport, std::span(group).subspan(start, len), result);
-    }
-  }
-  queue_ = std::move(deferred);
-  if (metrics_ != nullptr) {
-    metrics_->queue_depth->set(static_cast<std::int64_t>(queue_.size()));
-  }
+  run_round(round, &transport, result);
   return result;
 }
 
@@ -410,93 +461,38 @@ std::vector<ProbeScheduler::AgentId> ProbeScheduler::expire_agents(
 std::vector<ProbeScheduler::Assignment> ProbeScheduler::next_assignments(
     AgentId agent) {
   const util::MutexLock lock(mu_);
-  std::vector<Assignment> out;
-  const auto agent_it = agents_.find(agent);
-  if (agent_it == agents_.end() || queue_.empty()) return out;
-  AgentState& state = agent_it->second;
-  if (state.inflight >= state.window) return out;
-  ++round_;
-  ++stats_.rounds;
-
-  // One FIFO pass with the same eligibility rules as a local pump round
-  // (each dispatch call IS a round — the audit records it, so I7's
-  // per-round VP window check is exactly as strict as in the monolith).
-  // Offline jobs never cross the wire (run_offline_jobs steals them) and
-  // the agent-window check comes first so a full agent costs no VP tokens.
-  std::deque<std::uint64_t> deferred;
-  for (const std::uint64_t pending_id : queue_) {
-    const Pending& pending = pending_.at(pending_id);
-    if (pending.demand.offline() || state.inflight >= state.window) {
-      deferred.push_back(pending_id);
-      continue;
-    }
-    if (!issuable_locked(pending)) {
-      ++stats_.throttled;
-      if (metrics_ != nullptr) metrics_->throttled->add();
-      deferred.push_back(pending_id);
-      continue;
-    }
-    const std::uint64_t ticket = next_ticket_++;
-    assigned_[ticket] = Assigned{pending_id, agent, round_};
-    ++state.inflight;
-    out.push_back(Assignment{ticket, spec_of(pending.demand)});
-  }
-  queue_ = std::move(deferred);
-  if (metrics_ != nullptr) {
-    metrics_->queue_depth->set(static_cast<std::int64_t>(queue_.size()));
-  }
-  return out;
+  const auto it = agents_.find(agent);
+  if (it == agents_.end()) return {};
+  return dispatch_round_locked(agent, &it->second).jobs;
 }
 
 bool ProbeScheduler::deliver_assignment(AgentId agent, std::uint64_t ticket,
                                         const probing::ProbeReply& reply,
                                         std::int64_t now_us) {
   const util::MutexLock lock(mu_);
-  const auto it = assigned_.find(ticket);
-  if (it == assigned_.end() || it->second.agent != agent) {
-    // Requeued off a detached agent (or already delivered): dropping the
-    // late duplicate is what keeps fan-out and quota single-charged.
-    ++stats_.stale_results;
-    return false;
-  }
-  const Assigned assigned = it->second;
-  assigned_.erase(ticket);
-  if (const auto agent_it = agents_.find(agent); agent_it != agents_.end()) {
-    REVTR_CHECK(agent_it->second.inflight > 0);
-    --agent_it->second.inflight;
-    agent_it->second.last_heartbeat_us =
-        std::max(agent_it->second.last_heartbeat_us, now_us);
-  }
-  // The agent's window has room again, whether or not a set completed.
-  note_progress_locked();
-  Pending pending = detach_pending_locked(assigned.pending_id);
   PumpResult ignored;
-  account_and_deliver_locked(std::move(pending), outcome_of(reply), ignored,
-                             assigned.round);
-  return true;
+  return deliver_locked(agent, ticket, outcome_of(reply), ignored, now_us);
 }
 
 std::size_t ProbeScheduler::run_offline_jobs(std::size_t max_jobs) {
-  const util::MutexLock lock(mu_);
-  std::size_t run = 0;
-  std::deque<std::uint64_t> keep;
-  while (!queue_.empty()) {
-    const std::uint64_t pending_id = queue_.front();
-    queue_.pop_front();
-    if (run < max_jobs && pending_.at(pending_id).demand.offline()) {
-      Pending pending = detach_pending_locked(pending_id);
-      ProbeOutcome outcome;
-      outcome.offline_probes = pending.demand.offline_work();
-      PumpResult ignored;
-      account_and_deliver_locked(std::move(pending), std::move(outcome),
-                                 ignored, round_);
-      ++run;
-    } else {
-      keep.push_back(pending_id);
+  Round round;
+  {
+    const util::MutexLock lock(mu_);
+    std::deque<std::uint64_t> keep;
+    for (const std::uint64_t pending_id : queue_) {
+      if (round.jobs.size() < max_jobs &&
+          pending_.at(pending_id).demand.offline()) {
+        assign_locked(round, pending_id, kLocalExecutor);
+      } else {
+        keep.push_back(pending_id);
+      }
     }
+    queue_ = std::move(keep);
   }
-  queue_ = std::move(keep);
-  return run;
+  round.singles = round.jobs.size();
+  PumpResult ignored;
+  run_round(round, nullptr, ignored);
+  return round.singles;
 }
 
 std::size_t ProbeScheduler::assigned_in_flight() const {

@@ -5,19 +5,17 @@
 // suspends. This layer turns demand sets from many in-flight requests into
 // wire probes:
 //
-//   * Coalescing: two pending demands with identical content (same probe
-//     type, vantage point, target, spoof source, prespec list) share one
-//     wire probe; the outcome fans out to every waiter. The paper's RR-atlas
-//     exists to avoid re-measuring what another request already learned —
-//     coalescing applies the same idea at in-flight granularity.
-//   * Per-VP windows: at most `vp_window` probes issue from one vantage
-//     point per pump round, plus a token bucket refilled every round, so no
-//     VP is hammered no matter how many requests want it (§5.2.4's rate
-//     concerns). Deferred demands stay queued; refill guarantees progress.
-//   * Spoofed-RR batching: spoofed demands that expect the same ingress are
-//     issued in the paper's 3-probe batches *across* requests (§4.3), not
-//     just within one; batching changes issue order and the batch metric
-//     only — each request still charges its own spoof-batch timeout.
+//   * Coalescing: two demands with identical content (same probe type,
+//     vantage point, target, spoof source, prespec list) share one wire
+//     probe from submit to delivery, execution included; the outcome fans
+//     out to every waiter — the RR-atlas idea (never re-measure what another
+//     request learned) at in-flight granularity.
+//   * Dispatch rounds: one FIFO pass issues at most `vp_window` probes per
+//     vantage point plus a per-round token refill (§5.2.4's rate concerns),
+//     and groups same-ingress spoofed demands into the paper's 3-probe
+//     batches *across* requests (§4.3). Deferred demands stay queued. A
+//     round goes to a VP agent (next_assignments) or to the pumping worker
+//     (pump), which runs it with the mutex released; both deliver alike.
 //
 // Determinism: simulated probe outcomes are content-addressed (stateless
 // ECMP salt, endpoint-derived flow ids — DESIGN.md §8), so a demand answered
@@ -99,18 +97,14 @@ probing::ProbeSpec spec_of(const ProbeDemand& demand);
 // (coalesced=false, no offline counters — scheduler-side bookkeeping).
 ProbeOutcome outcome_of(const probing::ProbeReply& reply);
 
-// Executes one demand synchronously. The only place outside the simulator
-// where probes are issued on behalf of the engine — src/core/ stage code is
+// Executes one demand synchronously: the blocking executor inside
+// RevtrEngine::measure() funnels through here, as src/core/ stage code is
 // lint-forbidden from calling the Prober directly (revtr_lint
-// core-probe-issue), so the blocking executor inside RevtrEngine::measure()
-// funnels through here too. The transport overload is the seam; the Prober
-// overload wraps it in a LocalProbeTransport (bit-for-bit the old behavior).
-ProbeOutcome execute_demand(probing::ProbeTransport& transport,
-                            const ProbeDemand& demand);
+// core-probe-issue).
 ProbeOutcome execute_demand(probing::Prober& prober, const ProbeDemand& demand);
 
 struct SchedOptions {
-  // Max wire probes issued from one vantage point per pump round.
+  // Max wire probes issued from one vantage point per dispatch round.
   std::size_t vp_window = 64;
   // Token bucket per VP: refilled by `vp_tokens_per_round` each round up to
   // `vp_token_burst` whole tokens. Rates below 1 are legal — the scheduler
@@ -173,11 +167,12 @@ struct SchedulerAudit {
   std::vector<Delivery> deliveries;
 };
 
-// Collects demand sets from resumable requests, issues deduplicated wire
-// probes under the per-VP limits, and hands each task its completed outcome
-// set in demand order. Thread-safe: campaign workers submit and pump
-// concurrently; one mutex guards all state (probing is simulated — the
-// critical section is the work, not a bottleneck around it).
+// Collects demand sets from resumable requests, dispatches deduplicated
+// wire probes in rounds under the per-VP limits, and hands each task its
+// completed outcome set in demand order. Thread-safe: campaign workers
+// submit, pump and collect concurrently. One mutex guards the tables; it is
+// held to plan a round and to deliver it, never while a probe or an offline
+// job executes.
 class ProbeScheduler {
  public:
   using TaskId = std::uint64_t;
@@ -206,10 +201,10 @@ class ProbeScheduler {
   // One set per task at a time: submit again only after its Ready arrived.
   void submit(TaskId task, std::size_t owner, std::vector<ProbeDemand> demands);
 
-  // Issues eligible queued demands on `prober` (any worker's — outcomes are
-  // content-addressed, so who issues is irrelevant) and fans results out.
-  // The transport overload is the seam remote mode shares; the Prober
-  // overload wraps a LocalProbeTransport and is bit-for-bit the old path.
+  // Runs one dispatch round on the caller: wire probes on `prober` (any
+  // worker's — outcomes are content-addressed) and offline jobs on this
+  // thread, with the mutex released so identical demands submitted
+  // meanwhile ride along; then delivers it the way agent replies are.
   PumpResult pump(probing::Prober& prober);
   PumpResult pump(probing::ProbeTransport& transport);
 
@@ -217,11 +212,12 @@ class ProbeScheduler {
   //
   // In remote mode the scheduler is a dispatcher: wire probes leave as
   // ticketed assignments to registered VP agents instead of executing on
-  // the pumping worker's prober. A pending demand keeps its place in the
-  // coalescing tables while assigned, so cross-request coalescing — and
-  // invariant I7 over the audit — hold across process boundaries. Offline
-  // jobs never cross the wire; any controller worker steals them via
-  // run_offline_jobs().
+  // the pumping worker's prober. A local pump is the same round with the
+  // reserved executor id 0 (no window, no heartbeat). A pending demand keeps
+  // its place in the coalescing tables while assigned, so cross-request
+  // coalescing — and invariant I7 over the audit — hold across process
+  // boundaries. Offline jobs never cross the wire; any controller worker
+  // steals them via run_offline_jobs().
 
   using AgentId = std::uint64_t;
 
@@ -232,7 +228,7 @@ class ProbeScheduler {
 
   // Registers an agent with a per-agent in-flight window (clamped >= 1).
   // `now_us` seeds the heartbeat clock so a fresh agent is not instantly
-  // expirable. Ids are never reused.
+  // expirable. Ids start at 1 and are never reused.
   AgentId attach_agent(std::size_t window, std::int64_t now_us = 0)
       REVTR_EXCLUDES(mu_);
 
@@ -250,21 +246,17 @@ class ProbeScheduler {
                                      std::int64_t timeout_us)
       REVTR_EXCLUDES(mu_);
 
-  // One dispatch round for `agent`: moves eligible queued wire demands into
-  // its in-flight set, honoring the per-VP window/token pacing (each call is
-  // a scheduler round, exactly like a pump) and the agent's own window.
-  // Offline jobs are skipped. Unknown agents get nothing.
+  // One dispatch round for `agent` — the round a pump runs, under the
+  // agent's window too — moves eligible queued wire demands into its
+  // in-flight set. Offline jobs are skipped. Unknown agents get nothing.
   std::vector<Assignment> next_assignments(AgentId agent)
       REVTR_EXCLUDES(mu_);
 
   // Delivers an agent's reply for `ticket`. Returns false — and drops the
   // reply — when the ticket is stale (requeued off a detached agent, or
   // already delivered), so a slow agent's late duplicate can never fan out
-  // twice or double-charge a request. The audit Issue records the round the
-  // assignment was dispatched in, keeping I7's per-round window check exact.
-  // A delivery is also proof of life: `now_us` refreshes the agent's
-  // heartbeat clock (never backwards), so an agent kept busy with
-  // assignments is not expired for skipping heartbeats.
+  // twice or double-charge a request. A delivery is also proof of life:
+  // `now_us` refreshes the agent's heartbeat clock (never backwards).
   bool deliver_assignment(AgentId agent, std::uint64_t ticket,
                           const probing::ProbeReply& reply,
                           std::int64_t now_us = 0) REVTR_EXCLUDES(mu_);
@@ -275,15 +267,16 @@ class ProbeScheduler {
   std::size_t run_offline_jobs(std::size_t max_jobs = SIZE_MAX)
       REVTR_EXCLUDES(mu_);
 
-  // Assignments currently in flight across all agents.
+  // Dispatched jobs not yet delivered, on agents and in local rounds.
   std::size_t assigned_in_flight() const REVTR_EXCLUDES(mu_);
 
   // Tasks of `owner` whose whole demand set resolved since the last call.
   std::vector<Ready> collect_ready(std::size_t owner);
 
   // Progress epoch: advances on every submit, completed demand set, agent
-  // delivery, attach and detach (expiry included), the events after which
-  // an idle remote-mode worker may have work again.
+  // delivery, attach and detach (expiry included), and local round that
+  // deferred all it saw: the events after which an idle worker may have
+  // work again.
   std::uint64_t progress() const REVTR_EXCLUDES(mu_);
   // Blocks until progress() differs from `seen` or `timeout` elapses; true
   // when progress was made.
@@ -321,7 +314,6 @@ class ProbeScheduler {
     std::size_t issued_this_round = 0;
     std::uint64_t last_refill_round = 0;
   };
-
   struct AgentState {
     std::size_t window = 1;       // Max assignments in flight at once.
     std::size_t inflight = 0;     // Currently assigned, result not back.
@@ -333,29 +325,32 @@ class ProbeScheduler {
     std::uint64_t round = 0;  // Dispatch round, recorded in the audit Issue.
   };
 
-  // All private helpers run with mu_ held (declared by REVTR_REQUIRES).
+  // A round in delivery (ticket) order: jobs[0, singles) run singly, then
+  // spoofed-RR batches of `batch_sizes`. offline[i] is set for offline jobs.
+  struct Round {
+    std::vector<Assignment> jobs;
+    std::vector<std::function<probing::ProbeCounters()>> offline;
+    std::size_t singles = 0;
+    std::vector<std::size_t> batch_sizes;
+  };
+
+  // Private helpers named *_locked run with mu_ held.
   bool issuable_locked(const Pending& pending) REVTR_REQUIRES(mu_);
-  void issue_locked(probing::ProbeTransport& transport,
-                    std::uint64_t pending_id, PumpResult& result)
+  // The one eligibility pass, for `executor`; `agent` is null for a local
+  // round, else the agent whose window also applies.
+  Round dispatch_round_locked(AgentId executor, AgentState* agent)
       REVTR_REQUIRES(mu_);
-  // Issues a whole same-ingress spoofed-RR batch through the transport's
-  // batch path. Equivalent to issue_locked per id in order (same issue ids,
-  // same outcomes, same deliveries) — the batch only shares simulator
-  // scratch.
-  void issue_spoof_batch_locked(probing::ProbeTransport& transport,
-                                std::span<const std::uint64_t> batch,
-                                PumpResult& result) REVTR_REQUIRES(mu_);
-  // Detaches the pending entry from the tables (erase + in-flight cleanup).
-  Pending detach_pending_locked(std::uint64_t pending_id) REVTR_REQUIRES(mu_);
-  // Accounting, audit, and waiter fan-out for one issued wire probe.
-  // `issue_round` is the round the probe was issued/assigned in (remote
-  // delivery happens rounds later; the audit must record the dispatch round
-  // for I7's per-round window check).
-  void account_and_deliver_locked(Pending pending, ProbeOutcome outcome,
-                                  PumpResult& result, std::uint64_t issue_round)
-      REVTR_REQUIRES(mu_);
-  void deliver_locked(std::uint64_t set_id, std::size_t slot,
-                      ProbeOutcome outcome) REVTR_REQUIRES(mu_);
+  void assign_locked(Round& round, std::uint64_t pending_id,
+                     AgentId executor) REVTR_REQUIRES(mu_);
+  // Executes a local round with mu_ released, then delivers it in order.
+  // `transport` is null for a round of offline jobs only.
+  void run_round(const Round& round, probing::ProbeTransport* transport,
+                 PumpResult& result) REVTR_EXCLUDES(mu_);
+  // The one delivery path: retires the ticket (false when stale), then
+  // accounting, audit (at the dispatch round, for I7), and fan-out.
+  bool deliver_locked(AgentId agent, std::uint64_t ticket,
+                      ProbeOutcome outcome, PumpResult& result,
+                      std::int64_t now_us) REVTR_REQUIRES(mu_);
   // Requeues every assignment in flight on `agent` (detach/expiry path).
   std::size_t requeue_agent_locked(AgentId agent) REVTR_REQUIRES(mu_);
   // Advances the progress epoch and wakes wait_for_progress() callers.
@@ -372,6 +367,8 @@ class ProbeScheduler {
   static constexpr std::uint64_t kTokenScale = 1u << 20;
   const std::uint64_t refill_scaled_;  // vp_tokens_per_round * kTokenScale.
   const std::uint64_t burst_scaled_;   // vp_token_burst * kTokenScale.
+  // The executor id of rounds run by pump() and run_offline_jobs().
+  static constexpr AgentId kLocalExecutor = 0;
 
   mutable util::Mutex mu_;
   const SchedMetrics* metrics_ REVTR_GUARDED_BY(mu_) = nullptr;
@@ -384,7 +381,7 @@ class ProbeScheduler {
   // inserts and erases one pending entry per wire probe, which is exactly
   // the churn pattern backward-shift erase keeps cheap.
   util::FlatMap<std::uint64_t, Pending> pending_ REVTR_GUARDED_BY(mu_);
-  // FIFO of un-issued pending ids.
+  // FIFO of undispatched pending ids.
   std::deque<std::uint64_t> queue_ REVTR_GUARDED_BY(mu_);
   // Coalesce key -> pending id.
   util::FlatMap<std::uint64_t, std::uint64_t> in_flight_
@@ -394,7 +391,7 @@ class ProbeScheduler {
       REVTR_GUARDED_BY(mu_);
   // Completed set ids awaiting collection.
   std::deque<std::uint64_t> ready_ REVTR_GUARDED_BY(mu_);
-  // Remote dispatch state: registered agents and ticketed assignments.
+  // Dispatch state: registered agents and ticketed assignments.
   util::FlatMap<AgentId, AgentState> agents_ REVTR_GUARDED_BY(mu_);
   util::FlatMap<std::uint64_t, Assigned> assigned_ REVTR_GUARDED_BY(mu_);
   std::uint64_t next_agent_ REVTR_GUARDED_BY(mu_) = 1;
@@ -402,10 +399,10 @@ class ProbeScheduler {
   SchedulerStats stats_ REVTR_GUARDED_BY(mu_);
   std::uint64_t progress_ REVTR_GUARDED_BY(mu_) = 0;
   std::condition_variable_any progress_cv_;
-  // issue_spoof_batch_locked scratch, reused across batches.
-  std::vector<Pending> batch_pendings_ REVTR_GUARDED_BY(mu_);
-  std::vector<probing::RrBatchItem> batch_items_ REVTR_GUARDED_BY(mu_);
-  std::vector<probing::RrProbeResult> batch_results_ REVTR_GUARDED_BY(mu_);
+  // Held shared while a round's wire probes execute and exclusively while
+  // an offline job runs: the job touches its submitting worker's prober,
+  // which that worker may be probing through in its own round.
+  util::SharedMutex probe_gate_;
 };
 
 }  // namespace revtr::sched

@@ -8,9 +8,9 @@
 
 namespace revtr::service {
 
-// Bound on an idle remote step's wait: dispatch rounds, which refill the
+// Bound on an idle step's wait: remote dispatch rounds, which refill the
 // per-VP tokens, must keep coming while every queued demand is throttled.
-constexpr std::chrono::milliseconds kRemoteIdleWait{1};
+constexpr std::chrono::milliseconds kIdleWait{1};
 
 WorkerStack::WorkerStack(const CampaignDeps& deps,
                          const core::EngineConfig& config, std::uint64_t seed,
@@ -61,7 +61,7 @@ void RequestRunner::advance(Active::iterator it) {
 void RequestRunner::step(const PumpStep& pump) {
   // Sampled before pumping, so progress made meanwhile by any thread cuts
   // an idle wait short.
-  const std::uint64_t seen = pump.dispatch ? scheduler_.progress() : 0;
+  const std::uint64_t seen = scheduler_.progress();
   std::size_t moved = 0;
   util::SimClock::Micros round_us = 0;
   if (pump.dispatch) {
@@ -82,13 +82,10 @@ void RequestRunner::step(const PumpStep& pump) {
     std::this_thread::sleep_for(std::chrono::duration<double>(
         static_cast<double>(round_us) * 1e-6 * pump.pacing_scale));
   } else if (ready.empty() && moved == 0) {
-    // Our outcomes are in another worker's pump, throttled until a later
-    // round's token refill, or (remote) in flight on an agent.
-    if (pump.dispatch) {
-      scheduler_.wait_for_progress(seen, kRemoteIdleWait);
-    } else {
-      std::this_thread::yield();
-    }
+    // Our outcomes are executing in another worker's round or on an agent,
+    // or throttled until a later round's refill (a local round that deferred
+    // everything counts as progress, so a lone worker re-pumps at once).
+    scheduler_.wait_for_progress(seen, kIdleWait);
   }
 }
 

@@ -67,12 +67,13 @@ class RequestRunner {
  public:
   using Completion = std::function<void(core::ReverseTraceroute)>;
 
-  // How a step moves queued probes. Local (no `dispatch`): pump on this
-  // worker's prober, then hold the worker for the round's simulated
-  // duration times `pacing_scale`; an idle local step re-pumps, as rounds
-  // refill the per-VP tokens. Remote: `dispatch` hands probes to agents and
-  // returns how many it moved; an idle step (nothing moved or resumed)
-  // waits briefly for scheduler progress.
+  // How a step moves queued probes. Local (no `dispatch`): pump one round
+  // on this worker's prober, then hold the worker for the round's simulated
+  // duration times `pacing_scale`. Remote: `dispatch` hands probes to agents
+  // and returns how many it moved. An idle step (nothing moved or resumed)
+  // waits for scheduler progress: a delivery, a submit, or a local round
+  // that deferred everything (rounds refill the per-VP tokens, so a lone
+  // throttled worker re-pumps without sleeping).
   struct PumpStep {
     std::function<std::size_t()> dispatch;
     double pacing_scale = 0.0;

@@ -2,13 +2,18 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <thread>
+#include <tuple>
 
 #include "analysis/invariants.h"
 #include "eval/harness.h"
 #include "obs/metrics.h"
 #include "sched/scheduler.h"
+#include "sim/network.h"
 
 namespace revtr::sched {
 namespace {
@@ -23,6 +28,44 @@ topology::TopologyConfig tiny_config() {
   config.num_vps_2016 = 2;
   config.num_probe_hosts = 20;
   return config;
+}
+
+// Executes on a local prober and reports each wire probe to `hook` first
+// (batch items one by one, as single spoofed-RR specs).
+class HookTransport final : public probing::ProbeTransport {
+ public:
+  HookTransport(probing::Prober& prober,
+                std::function<void(const probing::ProbeSpec&)> hook)
+      : local_(prober), hook_(std::move(hook)) {}
+
+  probing::ProbeReply execute(const probing::ProbeSpec& spec) override {
+    hook_(spec);
+    return local_.execute(spec);
+  }
+  void execute_batch(std::span<const probing::RrBatchItem> items,
+                     std::vector<probing::RrProbeResult>& out) override {
+    for (const auto& item : items) {
+      hook_(probing::ProbeSpec{probing::ProbeType::kSpoofedRecordRoute,
+                               item.from, item.target, item.spoof_as, {}});
+    }
+    local_.execute_batch(items, out);
+  }
+
+ private:
+  probing::LocalProbeTransport local_;
+  std::function<void(const probing::ProbeSpec&)> hook_;
+};
+
+// The audit facts two equivalent dispatch histories must share.
+auto audit_trail(const SchedulerAudit& audit) {
+  std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
+                         HostId, std::uint64_t>>
+      trail;
+  for (const auto& issue : audit.issues) {
+    trail.emplace_back(issue.issue_id, issue.key, issue.round, issue.vp,
+                       issue.digest);
+  }
+  return trail;
 }
 
 class SchedFixture : public ::testing::Test {
@@ -164,7 +207,11 @@ TEST_F(SchedFixture, FractionalPacingIssuesOnExactCadence) {
   for (std::size_t i = 0; i < 15; ++i) demands.push_back(ping_demand(0, i));
   scheduler.submit(1, 0, std::move(demands));
   for (std::size_t probe = 0; probe < 15; ++probe) {
+    // A round that defers everything still counts as progress: its refill
+    // lets the next round issue, so an idle worker must not wait it out.
+    const std::uint64_t seen = scheduler.progress();
     EXPECT_EQ(scheduler.pump(lab_->prober).issued, 0u) << "probe " << probe;
+    EXPECT_NE(scheduler.progress(), seen) << "probe " << probe;
     EXPECT_EQ(scheduler.pump(lab_->prober).issued, 1u) << "probe " << probe;
   }
   ASSERT_EQ(scheduler.collect_ready(0).size(), 1u);
@@ -273,6 +320,207 @@ TEST_F(SchedFixture, AuditSatisfiesI7AndCatchesTampering) {
   EXPECT_FALSE(analysis::check_scheduler(overdriven, narrow).empty());
 }
 
+TEST_F(SchedFixture, RiderJoinsAProbeExecutingOutsideTheLock) {
+  // While the pump's one wire probe executes, a second thread submits the
+  // identical demand. The submit must return during execution (the mutex is
+  // not held) and ride along on the executing probe.
+  SchedOptions options;
+  ProbeScheduler scheduler(options);
+  SchedulerAudit audit;
+  scheduler.set_audit(&audit);
+  scheduler.submit(1, 0, {ping_demand(0, 0)});
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool executing = false;
+  bool submitted = false;
+  std::thread rider([&] {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return executing; });
+    }
+    scheduler.submit(2, 0, {ping_demand(0, 0)});
+    const std::lock_guard<std::mutex> lock(mu);
+    submitted = true;
+    cv.notify_all();
+  });
+  bool rider_returned = false;
+  HookTransport transport(lab_->prober, [&](const probing::ProbeSpec&) {
+    std::unique_lock<std::mutex> lock(mu);
+    executing = true;
+    cv.notify_all();
+    rider_returned =
+        cv.wait_for(lock, std::chrono::seconds(5), [&] { return submitted; });
+  });
+  const auto pumped = scheduler.pump(transport);
+  rider.join();
+  ASSERT_TRUE(rider_returned) << "submit blocked while a probe executed";
+  EXPECT_EQ(pumped.issued, 1u);
+
+  const auto ready = scheduler.collect_ready(0);
+  ASSERT_EQ(ready.size(), 2u);
+  EXPECT_EQ(ready[0].outcomes[0].digest(), ready[1].outcomes[0].digest());
+  EXPECT_NE(ready[0].outcomes[0].coalesced, ready[1].outcomes[0].coalesced);
+  EXPECT_EQ(scheduler.stats().issued, 1u);
+  EXPECT_EQ(scheduler.stats().coalesced, 1u);
+  EXPECT_TRUE(scheduler.idle());
+  ASSERT_EQ(audit.deliveries.size(), 1u);
+  EXPECT_TRUE(analysis::check_scheduler(audit, options).empty());
+}
+
+TEST_F(SchedFixture, OfflineJobNeverRunsAlongsideAWireProbe) {
+  // Worker A's wire probe is executing on A's prober when worker B's pump
+  // takes an offline job of A's, which probes through A's prober too. The
+  // job must wait for the probe to finish instead of running alongside it.
+  ProbeScheduler scheduler;
+  sim::Network network_b(lab_->topo, lab_->plane, 7);
+  probing::Prober prober_b(network_b);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool a_executing = false;
+  bool job_started = false;
+  bool overlapped = false;
+  HookTransport transport_a(lab_->prober, [&](const probing::ProbeSpec&) {
+    std::unique_lock<std::mutex> lock(mu);
+    a_executing = true;
+    cv.notify_all();
+    // Give the job every chance to start while this probe is in flight.
+    cv.wait_for(lock, std::chrono::milliseconds(200),
+                [&] { return job_started; });
+    a_executing = false;
+  });
+  ProbeDemand offline;
+  offline.offline_work = [&] {
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      job_started = true;
+      overlapped = a_executing;
+      cv.notify_all();
+    }
+    const auto before = lab_->prober.offline_counters();
+    const probing::Prober::OfflineScope scope(lab_->prober);
+    lab_->prober.ping(lab_->topo.vantage_points()[4],
+                      lab_->topo.host(lab_->topo.probe_hosts()[0]).addr);
+    return lab_->prober.offline_counters() - before;
+  };
+
+  scheduler.submit(1, 0, {ping_demand(0, 0)});
+  std::thread worker_a([&] { scheduler.pump(transport_a); });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return a_executing; });
+  }
+  scheduler.submit(2, 0, {std::move(offline)});
+  scheduler.pump(prober_b);
+  worker_a.join();
+
+  EXPECT_TRUE(job_started);
+  EXPECT_FALSE(overlapped) << "offline job ran while a wire probe executed";
+  const auto ready = scheduler.collect_ready(0);
+  ASSERT_EQ(ready.size(), 2u);
+  EXPECT_EQ(scheduler.stats().offline_jobs, 1u);
+  EXPECT_TRUE(scheduler.idle());
+}
+
+TEST_F(SchedFixture, ConcurrentPumpersWithPrivateProbersMatchExecuteDemand) {
+  // Two workers, each with its own network and prober, submit overlapping
+  // demand sets — pings, same-ingress spoofed RR, and one offline job that
+  // probes through its submitter's prober — and pump one scheduler at once.
+  // Either may run the other's offline job while the owner is probing.
+  SchedOptions options;
+  ProbeScheduler scheduler(options);
+  SchedulerAudit audit;
+  scheduler.set_audit(&audit);
+  const net::Ipv4Addr ingress(0x0a000001);
+
+  struct Worker {
+    sim::Network network;
+    probing::Prober prober;
+    std::vector<std::vector<ProbeDemand>> sets;
+    std::vector<std::vector<ProbeOutcome>> want;
+    std::vector<std::vector<ProbeOutcome>> outcomes;
+    explicit Worker(const eval::Lab& lab)
+        : network(lab.topo, lab.plane, 7), prober(network) {}
+  };
+  std::vector<std::unique_ptr<Worker>> workers;
+  for (std::size_t w = 0; w < 2; ++w) {
+    auto worker = std::make_unique<Worker>(*lab_);
+    for (std::size_t t = 0; t < 12; ++t) {
+      const std::size_t h = (t + 4 * w) % 18;  // Worker sets overlap.
+      worker->sets.push_back({ping_demand(t % 3, h), spoofed_demand(h, ingress),
+                              ping_demand(3, (h + 1) % 18)});
+    }
+    ProbeDemand offline;
+    offline.offline_work = [this, &prober = worker->prober] {
+      const auto before = prober.offline_counters();
+      const probing::Prober::OfflineScope scope(prober);
+      prober.ping(lab_->topo.vantage_points()[4],
+                  lab_->topo.host(lab_->topo.probe_hosts()[0]).addr);
+      return prober.offline_counters() - before;
+    };
+    worker->sets[5].push_back(std::move(offline));
+    worker->outcomes.resize(worker->sets.size());
+    workers.push_back(std::move(worker));
+  }
+  // The reference outcomes, measured before the workers start. This also
+  // fills the shared routing plane's lazily computed tables, which are not
+  // safe to fill concurrently (campaigns and the daemon warm them the same
+  // way, through the ingress survey, before their workers start).
+  for (const auto& worker : workers) {
+    for (const auto& set : worker->sets) {
+      auto& want = worker->want.emplace_back();
+      for (const auto& demand : set) {
+        want.push_back(execute_demand(lab_->prober, demand));
+      }
+    }
+  }
+
+  std::vector<std::thread> threads;
+  for (std::size_t w = 0; w < workers.size(); ++w) {
+    threads.emplace_back([&, w] {
+      Worker& worker = *workers[w];
+      std::size_t resolved = 0;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(60);
+      for (std::size_t t = 0;
+           resolved < worker.sets.size() &&
+           std::chrono::steady_clock::now() < deadline;) {
+        if (t < worker.sets.size()) {
+          scheduler.submit(t, w, worker.sets[t]);
+          ++t;
+        }
+        scheduler.pump(worker.prober);
+        for (auto& ready : scheduler.collect_ready(w)) {
+          worker.outcomes[ready.task] = std::move(ready.outcomes);
+          ++resolved;
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+
+  for (const auto& worker : workers) {
+    for (std::size_t t = 0; t < worker->sets.size(); ++t) {
+      const auto& set = worker->sets[t];
+      const auto& got = worker->outcomes[t];
+      ASSERT_EQ(got.size(), set.size()) << "set " << t << " unresolved";
+      for (std::size_t i = 0; i < set.size(); ++i) {
+        const ProbeOutcome& want = worker->want[t][i];
+        EXPECT_EQ(got[i].digest(), want.digest()) << t << "/" << i;
+        EXPECT_EQ(got[i].offline_probes.total(), want.offline_probes.total());
+      }
+    }
+  }
+  const auto stats = scheduler.stats();
+  EXPECT_EQ(stats.offline_jobs, 2u);
+  // Every wire demand went on the wire once or rode along on a duplicate.
+  EXPECT_EQ(stats.issued + stats.coalesced + stats.offline_jobs,
+            stats.demanded);
+  EXPECT_GT(stats.wire_batches, 0u);
+  EXPECT_TRUE(scheduler.idle());
+  EXPECT_TRUE(analysis::check_scheduler(audit, options).empty());
+}
+
 // --- Remote dispatcher (controller/agent split, DESIGN.md §15). ------------
 
 TEST_F(SchedFixture, DispatcherAssignsAndDeliversLikeAPump) {
@@ -299,6 +547,62 @@ TEST_F(SchedFixture, DispatcherAssignsAndDeliversLikeAPump) {
   EXPECT_EQ(ready[0].outcomes.size(), 2u);
   EXPECT_TRUE(scheduler.idle());
   EXPECT_EQ(scheduler.stats().issued, 2u);
+
+  // A mixed set — spoofed RR for two ingresses between plain pings, with
+  // one demand per VP over a window of 2 — leaves an agent in the order a
+  // local pump runs it, over the same audited rounds and wire batches.
+  const net::Ipv4Addr ingress_x(0x0a000001);
+  const net::Ipv4Addr ingress_y(0x0a000002);
+  const std::vector<ProbeDemand> mixed = {
+      spoofed_demand(0, ingress_x), ping_demand(0, 0),
+      ping_demand(0, 1),            spoofed_demand(1, ingress_y),
+      ping_demand(0, 2),            spoofed_demand(2, ingress_x),
+      ping_demand(2, 3)};
+  SchedOptions narrow;
+  narrow.vp_window = 2;
+
+  ProbeScheduler local(narrow);
+  SchedulerAudit local_audit;
+  local.set_audit(&local_audit);
+  local.submit(1, 0, mixed);
+  std::vector<probing::ProbeSpec> local_order;
+  HookTransport recorder(lab_->prober, [&](const probing::ProbeSpec& spec) {
+    local_order.push_back(spec);
+  });
+  std::size_t local_sets = 0;
+  for (int round = 0; round < 10 && local_sets == 0; ++round) {
+    local.pump(recorder);
+    local_sets += local.collect_ready(0).size();
+  }
+
+  ProbeScheduler remote(narrow);
+  SchedulerAudit remote_audit;
+  remote.set_audit(&remote_audit);
+  const auto mixed_agent = remote.attach_agent(/*window=*/64);
+  remote.submit(1, 0, mixed);
+  std::vector<probing::ProbeSpec> remote_order;
+  std::size_t remote_sets = 0;
+  for (int round = 0; round < 10 && remote_sets == 0; ++round) {
+    for (const auto& assignment : remote.next_assignments(mixed_agent)) {
+      remote_order.push_back(assignment.spec);
+      EXPECT_TRUE(remote.deliver_assignment(
+          mixed_agent, assignment.ticket,
+          probing::execute_spec(lab_->prober, assignment.spec)));
+    }
+    remote_sets += remote.collect_ready(0).size();
+  }
+
+  ASSERT_EQ(local_sets, 1u);
+  ASSERT_EQ(remote_sets, 1u);
+  ASSERT_EQ(local_order.size(), mixed.size());
+  EXPECT_EQ(remote_order, local_order);
+  EXPECT_EQ(audit_trail(remote_audit), audit_trail(local_audit));
+  EXPECT_EQ(local.stats().rounds, 2u);
+  EXPECT_EQ(remote.stats().rounds, local.stats().rounds);
+  EXPECT_EQ(local.stats().wire_batches, 3u);  // x, y; then x again.
+  EXPECT_EQ(remote.stats().wire_batches, local.stats().wire_batches);
+  EXPECT_EQ(remote.stats().throttled, local.stats().throttled);
+  EXPECT_TRUE(analysis::check_scheduler(remote_audit, narrow).empty());
 }
 
 TEST_F(SchedFixture, DispatcherHonorsAgentWindowAcrossAgents) {
