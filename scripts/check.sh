@@ -245,7 +245,8 @@ serverd_smoke() {
 # probe outcomes are content-addressed, so where they execute must not be
 # observable — and SIGTERM must drain cleanly on both sides (agents first,
 # then the controller). --window=2 keeps the per-agent in-flight window
-# small enough that both agents actually execute probes.
+# small enough that both agents actually execute probes; --pps=200 on vp-b
+# runs its per-VP pacing (pacing delays probes, never changes them).
 agent_smoke() {
     echo "==> [default] agent smoke (controller + 2 agents vs monolith)"
     topo="--ases=100 --vps=6 --probes=24 --seed=7"
@@ -279,7 +280,7 @@ agent_smoke() {
         --window=2 >build/agent_smoke_a.log 2>&1 &
     agent_a=$!
     ./build/tools/revtr_agentd --socket="$sock" $topo --name=vp-b \
-        --window=2 >build/agent_smoke_b.log 2>&1 &
+        --window=2 --pps=200 >build/agent_smoke_b.log 2>&1 &
     agent_b=$!
     : >build/agent_smoke_remote.out
     for dest in 3 4 7; do

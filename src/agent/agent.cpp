@@ -9,7 +9,7 @@
 #include <variant>
 
 #include "probing/transport.h"
-#include "util/rng.h"
+#include "service/runner.h"
 
 namespace revtr::agent {
 
@@ -41,7 +41,8 @@ std::int64_t wall_now_us() {
 }  // namespace
 
 AgentDaemon::AgentDaemon(AgentOptions options)
-    : options_(std::move(options)) {}
+    : options_(std::move(options)),
+      heartbeat_(std::max<std::int64_t>(options_.heartbeat_interval_ms, 1)) {}
 
 AgentDaemon::~AgentDaemon() {
   if (g_signal_agent.load(std::memory_order_acquire) == this) {
@@ -69,31 +70,38 @@ AgentCounters AgentDaemon::counters() const {
   return counters_;
 }
 
+bool AgentDaemon::heartbeat_if_due(std::chrono::steady_clock::time_point now) {
+  if (now - last_beat_ < heartbeat_) return true;
+  std::uint64_t executed = 0;
+  {
+    const util::MutexLock lock(mu_);
+    ++counters_.heartbeats;
+    executed = counters_.executed;
+  }
+  if (!socket_.send(AgentHeartbeat{0, executed})) return false;
+  last_beat_ = now;
+  return true;
+}
+
 void AgentDaemon::pace(topology::HostId vp) {
   if (options_.probes_per_sec <= 0.0) return;
-  Pacer& pacer = pacers_[vp];
-  const double burst = static_cast<double>(std::max<std::size_t>(
-      options_.window, 1));
-  for (;;) {
-    const std::int64_t now = wall_now_us();
-    if (pacer.last_refill_us == 0) {
-      pacer.last_refill_us = now;
-      pacer.tokens = burst;
-    }
-    const double elapsed_s =
-        static_cast<double>(now - pacer.last_refill_us) / 1e6;
-    pacer.tokens = std::min(burst,
-                            pacer.tokens + elapsed_s * options_.probes_per_sec);
-    pacer.last_refill_us = now;
-    if (pacer.tokens >= 1.0) {
-      pacer.tokens -= 1.0;
-      return;
-    }
-    // Sleep out the deficit (bounded so a drain signal is noticed soon).
-    const double wait_s = (1.0 - pacer.tokens) / options_.probes_per_sec;
-    const auto wait_us = static_cast<std::int64_t>(wait_s * 1e6) + 1;
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(std::min<std::int64_t>(wait_us, 50'000)));
+  const server::TokenBucketOptions rate{
+      options_.probes_per_sec,
+      static_cast<double>(std::max<std::size_t>(options_.window, 1))};
+  server::TokenBucket& bucket = pacers_.try_emplace(vp, rate).first->second;
+  while (!bucket.try_take(wall_now_us())) {
+    // Still alive while waiting: a wait longer than the controller's agent
+    // timeout must not get a healthy agent expired. A failed send means the
+    // controller is gone; the result send after this notices too.
+    if (!heartbeat_if_due(std::chrono::steady_clock::now())) return;
+    // Sleep out the deficit, bounded so the next heartbeat goes out on time
+    // and a drain signal is noticed soon.
+    const auto deficit = std::chrono::microseconds(static_cast<std::int64_t>(
+        (1.0 - bucket.tokens()) / options_.probes_per_sec * 1e6) + 1);
+    const auto until_beat = std::chrono::ceil<std::chrono::microseconds>(
+        heartbeat_ - (std::chrono::steady_clock::now() - last_beat_));
+    std::this_thread::sleep_for(std::min(
+        {deficit, until_beat, std::chrono::microseconds(50'000)}));
     if (drain_requested_.load(std::memory_order_acquire)) {
       // Drain beats pacing: execute immediately rather than stall the
       // controller's drain on a rate limit.
@@ -134,14 +142,13 @@ bool AgentDaemon::handle_assignment(const AgentProbe& probe) {
 
 bool AgentDaemon::run() {
   // The agent's half of the simulated Internet: same topology config, same
-  // seed derivation as ServerDaemon::start(), so execute_spec here returns
-  // byte-identical replies to a controller-local prober.
+  // network seed as the controller's worker stacks, so execute_spec here
+  // returns byte-identical replies to a controller-local prober.
   lab_ = std::make_unique<eval::Lab>(options_.topo,
                                      core::EngineConfig::revtr2(),
                                      options_.seed);
-  const std::uint64_t net_seed = util::mix_hash(options_.seed, 0x6e7ULL);
-  network_ =
-      std::make_unique<sim::Network>(lab_->topo, lab_->plane, net_seed);
+  network_ = std::make_unique<sim::Network>(
+      lab_->topo, lab_->plane, service::network_seed(options_.seed));
   prober_ = std::make_unique<probing::Prober>(*network_);
 
   // Retries while the controller is still binding, like DaemonClient.
@@ -165,9 +172,7 @@ bool AgentDaemon::run() {
   }
   agent_id_.store(std::get<HelloOk>(*ack).tenant, std::memory_order_release);
 
-  const std::chrono::milliseconds heartbeat(
-      std::max<std::int64_t>(options_.heartbeat_interval_ms, 1));
-  auto last_beat = std::chrono::steady_clock::now();
+  last_beat_ = std::chrono::steady_clock::now();
   bool draining = false;
   bool clean = false;
   while (socket_.connected()) {
@@ -188,19 +193,10 @@ bool AgentDaemon::run() {
     // Heartbeat whenever one is due, busy or not: a steadily fed agent
     // never times out a read, and must still prove it is alive.
     const auto now = std::chrono::steady_clock::now();
-    if (now - last_beat >= heartbeat) {
-      std::uint64_t executed = 0;
-      {
-        const util::MutexLock lock(mu_);
-        ++counters_.heartbeats;
-        executed = counters_.executed;
-      }
-      if (!socket_.send(AgentHeartbeat{0, executed})) break;
-      last_beat = now;
-    }
+    if (!heartbeat_if_due(now)) break;
     const auto until_beat =
-        std::chrono::ceil<std::chrono::milliseconds>(heartbeat -
-                                                     (now - last_beat));
+        std::chrono::ceil<std::chrono::milliseconds>(heartbeat_ -
+                                                     (now - last_beat_));
     std::optional<Message> message;
     const ReadStatus status =
         socket_.read(message, static_cast<int>(until_beat.count()));

@@ -29,12 +29,14 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <unordered_map>
 
 #include "eval/harness.h"
+#include "server/admission.h"
 #include "server/client.h"
 #include "topology/builder.h"
 #include "util/annotate.h"
@@ -103,18 +105,17 @@ class AgentDaemon {
   static void install_signal_handlers(AgentDaemon* agent);
 
  private:
-  // Wall-clock token bucket for one vantage point.
-  struct Pacer {
-    double tokens = 0.0;
-    std::int64_t last_refill_us = 0;
-  };
-
   // Executes one assignment (validation, pacing, probe, result frame).
   // False when the send failed or the crash hook fired.
   bool handle_assignment(const server::AgentProbe& probe);
+  // Waits for `vp`'s wall-clock token bucket, heartbeating meanwhile.
   void pace(topology::HostId vp);
+  // Sends AGENT_HEARTBEAT when one is due at `now`; false when the send
+  // failed.
+  bool heartbeat_if_due(std::chrono::steady_clock::time_point now);
 
   const AgentOptions options_;
+  const std::chrono::milliseconds heartbeat_;  // Clamped >= 1 ms.
 
   // Measurement stack, built by run(). The Lab carries topology + routing;
   // the agent's own Network + Prober execute the probes (same net seed
@@ -126,8 +127,10 @@ class AgentDaemon {
       prober_;  // lint: lock-free(run thread only)
 
   server::FrameSocket socket_;  // lint: lock-free(run thread only)
-  std::unordered_map<topology::HostId, Pacer>
+  std::unordered_map<topology::HostId, server::TokenBucket>
       pacers_;  // lint: lock-free(run thread only)
+  std::chrono::steady_clock::time_point
+      last_beat_;  // lint: lock-free(run thread only)
   std::atomic<std::uint64_t> agent_id_{0};  // Set once at register.
 
   // Set by request_drain() (possibly from a signal handler).

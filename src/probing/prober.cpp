@@ -196,65 +196,6 @@ RrProbeResult Prober::rr_ping(topology::HostId from, Ipv4Addr target,
   return out;
 }
 
-void Prober::rr_ping_batch(std::span<const RrBatchItem> items,
-                           std::vector<RrProbeResult>& out) {
-  out.resize(items.size());
-  batch_probes_.clear();
-  batch_slots_.clear();
-  batch_events_.resize(items.size());
-
-  // Phase 1, in item order: charge, consult the fault policy, and build the
-  // wire packets. next_id() draws here, so packet ids match what sequential
-  // rr_ping() calls would have used.
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const RrBatchItem& item = items[i];
-    charge(item.spoof_as ? ProbeType::kSpoofedRecordRoute
-                         : ProbeType::kRecordRoute);
-    ProbeEvent& event = batch_events_[i];
-    event = ProbeEvent{};
-    event.type = item.spoof_as ? ProbeType::kSpoofedRecordRoute
-                               : ProbeType::kRecordRoute;
-    event.from = item.from;
-    event.target = item.target;
-    event.spoof_as = item.spoof_as;
-    event.offline = offline();
-    RrProbeResult& result = out[i];
-    result.responded = false;
-    result.slots.clear();
-    result.duration_us = kProbeTimeoutUs;
-    if (vetoed(event)) continue;
-    const auto& sender = topo().host(item.from);
-    const Ipv4Addr src = item.spoof_as.value_or(sender.addr);
-    sim::BatchProbe probe;
-    probe.packet = net::make_echo_request(src, item.target, next_id(), 1);
-    probe.packet.rr = net::RecordRouteOption{};
-    probe.sender = item.from;
-    batch_probes_.push_back(std::move(probe));
-    batch_slots_.push_back(i);
-  }
-
-  // Phase 2: one simulator pass over the whole batch (loss draws happen
-  // inside, in batch order).
-  network_.send_batch(batch_probes_, batch_replies_);
-
-  // Phase 3, in item order: outcomes and observer notifications.
-  for (std::size_t p = 0; p < batch_replies_.size(); ++p) {
-    const sim::SendResult& reply = batch_replies_[p];
-    RrProbeResult& result = out[batch_slots_[p]];
-    result.responded = reply.answered() && reply.reply->rr.has_value();
-    if (result.responded) {
-      result.slots = reply.reply->rr->to_vector();
-      result.duration_us = reply.rtt_us;
-    }
-  }
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    ProbeEvent& event = batch_events_[i];
-    event.responded = out[i].responded;
-    event.slots = out[i].slots;
-    notify(event);
-  }
-}
-
 TsProbeResult Prober::ts_ping(topology::HostId from, Ipv4Addr target,
                               std::span<const Ipv4Addr> prespec,
                               std::optional<Ipv4Addr> spoof_as) {

@@ -116,7 +116,7 @@ struct RrProbeResult {
   util::SimClock::Micros duration_us = 0;
 };
 
-// One probe of an rr_ping_batch call.
+// One probe of a spoofed-RR batch (ProbeTransport::execute_batch).
 struct RrBatchItem {
   topology::HostId from = topology::kInvalidId;
   net::Ipv4Addr target;
@@ -164,16 +164,6 @@ class Prober {
   // owning that address (nullopt result slots if the reply never arrives).
   RrProbeResult rr_ping(topology::HostId from, net::Ipv4Addr target,
                         std::optional<net::Ipv4Addr> spoof_as = std::nullopt);
-
-  // A whole RR batch (the engine's 3-probe spoofed-RR batches) in one call,
-  // stepped through the simulator in a single send_batch pass. Outcomes,
-  // accounting, and observer notifications are byte-identical to calling
-  // rr_ping() per item in order — packet ids, loss draws, and events all
-  // happen in item order — but the batch reuses the prober's and the
-  // simulator's scratch, so steady-state batches do not allocate. `out` is
-  // resized to items.size().
-  void rr_ping_batch(std::span<const RrBatchItem> items,
-                     std::vector<RrProbeResult>& out);
 
   TsProbeResult ts_ping(topology::HostId from, net::Ipv4Addr target,
                         std::span<const net::Ipv4Addr> prespec,
@@ -244,13 +234,6 @@ class Prober {
   ProbeObserver* observer_ = nullptr;
   const ProbeMetrics* metrics_ = nullptr;
   FaultPolicy fault_policy_;
-
-  // rr_ping_batch scratch, reused across batches (a Prober serves one
-  // worker; no synchronization needed).
-  std::vector<sim::BatchProbe> batch_probes_;
-  std::vector<sim::SendResult> batch_replies_;
-  std::vector<std::size_t> batch_slots_;  // item index per sent probe
-  std::vector<ProbeEvent> batch_events_;
 };
 
 }  // namespace revtr::probing

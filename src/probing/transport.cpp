@@ -47,4 +47,18 @@ ProbeReply execute_spec(Prober& prober, const ProbeSpec& spec) {
   return reply;
 }
 
+void ProbeTransport::execute_batch(std::span<const RrBatchItem> items,
+                                   std::vector<RrProbeResult>& out) {
+  out.resize(items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const RrBatchItem& item = items[i];
+    ProbeReply reply = execute(ProbeSpec{
+        item.spoof_as ? ProbeType::kSpoofedRecordRoute
+                      : ProbeType::kRecordRoute,
+        item.from, item.target, item.spoof_as, {}});
+    out[i] = RrProbeResult{reply.responded, std::move(reply.slots),
+                           reply.duration_us};
+  }
+}
+
 }  // namespace revtr::probing

@@ -27,9 +27,9 @@
 
 namespace revtr::probing {
 
-// Content-complete description of one wire probe. Mirrors the measurement
-// fields of sched::ProbeDemand (scheduling-only fields like batch_ingress
-// and offline closures never cross the transport).
+// Content-complete description of one wire probe. sched::ProbeDemand is a
+// ProbeSpec plus scheduling-only fields (batch_ingress, offline closures)
+// that never cross the transport.
 struct ProbeSpec {
   ProbeType type = ProbeType::kPing;
   topology::HostId from = topology::kInvalidId;
@@ -41,8 +41,8 @@ struct ProbeSpec {
 };
 
 // The outcome of one spec, carrying every field any probe type produces.
-// Identical in content to sched::ProbeOutcome minus the scheduler-side
-// bookkeeping (coalesced flag, offline counters).
+// sched::ProbeOutcome is a ProbeReply plus scheduler-side bookkeeping
+// (coalesced flag, offline counters).
 struct ProbeReply {
   bool responded = false;
   std::vector<net::Ipv4Addr> slots;  // RR reply slots.
@@ -63,11 +63,11 @@ class ProbeTransport {
 
   virtual ProbeReply execute(const ProbeSpec& spec) = 0;
 
-  // A whole same-ingress spoofed-RR batch. Must be outcome-equivalent to
-  // execute() per item in order (the local path shares simulator scratch;
-  // remote agents issue singly — Prober::rr_ping_batch pins the equality).
+  // A whole same-ingress spoofed-RR batch. The default runs each item
+  // through execute() in order; an override (a timing decorator, say) must
+  // stay outcome-equivalent to that. `out` is resized to items.size().
   virtual void execute_batch(std::span<const RrBatchItem> items,
-                             std::vector<RrProbeResult>& out) = 0;
+                             std::vector<RrProbeResult>& out);
 };
 
 // Executes one spec synchronously on `prober` — the single dispatch switch
@@ -82,11 +82,6 @@ class LocalProbeTransport final : public ProbeTransport {
 
   ProbeReply execute(const ProbeSpec& spec) override {
     return execute_spec(prober_, spec);
-  }
-
-  void execute_batch(std::span<const RrBatchItem> items,
-                     std::vector<RrProbeResult>& out) override {
-    prober_.rr_ping_batch(items, out);
   }
 
   Prober& prober() noexcept { return prober_; }

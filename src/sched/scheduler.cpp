@@ -46,35 +46,16 @@ std::uint64_t ProbeOutcome::digest() const {
   return h;
 }
 
-probing::ProbeSpec spec_of(const ProbeDemand& demand) {
-  probing::ProbeSpec spec;
-  spec.type = demand.type;
-  spec.from = demand.from;
-  spec.target = demand.target;
-  spec.spoof_as = demand.spoof_as;
-  spec.prespec = demand.prespec;
-  return spec;
-}
-
-ProbeOutcome outcome_of(const probing::ProbeReply& reply) {
-  ProbeOutcome outcome;
-  outcome.responded = reply.responded;
-  outcome.slots = reply.slots;
-  outcome.stamped = reply.stamped;
-  outcome.traceroute = reply.traceroute;
-  outcome.duration_us = reply.duration_us;
-  outcome.packets = reply.packets;
-  return outcome;
-}
-
 ProbeOutcome execute_demand(probing::Prober& prober,
                             const ProbeDemand& demand) {
+  ProbeOutcome outcome;
   if (demand.offline()) {
-    ProbeOutcome outcome;
     outcome.offline_probes = demand.offline_work();
-    return outcome;
+  } else {
+    static_cast<probing::ProbeReply&>(outcome) =
+        probing::execute_spec(prober, demand);
   }
-  return outcome_of(probing::execute_spec(prober, spec_of(demand)));
+  return outcome;
 }
 
 SchedMetrics::SchedMetrics(obs::MetricsRegistry& registry) {
@@ -192,8 +173,7 @@ void ProbeScheduler::assign_locked(Round& round, std::uint64_t pending_id,
   const std::uint64_t ticket = next_ticket_++;
   assigned_[ticket] = Assigned{pending_id, executor, round_};
   const ProbeDemand& demand = pending_.at(pending_id).demand;
-  round.jobs.push_back(Assignment{
-      ticket, demand.offline() ? probing::ProbeSpec{} : spec_of(demand)});
+  round.jobs.push_back(Assignment{ticket, demand});
   round.offline.push_back(demand.offline_work);
 }
 
@@ -341,7 +321,8 @@ void ProbeScheduler::run_round(const Round& round,
       outcomes[i].offline_probes = round.offline[i]();
     } else {
       const util::SharedLock gate(probe_gate_);
-      outcomes[i] = outcome_of(transport->execute(round.jobs[i].spec));
+      static_cast<probing::ProbeReply&>(outcomes[i]) =
+          transport->execute(round.jobs[i].spec);
     }
   }
   std::vector<probing::RrBatchItem> items;
@@ -354,8 +335,8 @@ void ProbeScheduler::run_round(const Round& round,
       items.push_back({spec.from, spec.target, spec.spoof_as});
     }
     {
-      // The whole batch steps through the simulator in one pass; outcomes
-      // are byte-identical to issuing each probe alone (rr_ping_batch).
+      // One transport call per batch (a decorator may time or trace it);
+      // each item is still one wire probe with its own outcome.
       const util::SharedLock gate(probe_gate_);
       transport->execute_batch(items, results);
     }
@@ -469,9 +450,11 @@ std::vector<ProbeScheduler::Assignment> ProbeScheduler::next_assignments(
 bool ProbeScheduler::deliver_assignment(AgentId agent, std::uint64_t ticket,
                                         const probing::ProbeReply& reply,
                                         std::int64_t now_us) {
+  ProbeOutcome outcome;
+  static_cast<probing::ProbeReply&>(outcome) = reply;
   const util::MutexLock lock(mu_);
   PumpResult ignored;
-  return deliver_locked(agent, ticket, outcome_of(reply), ignored, now_us);
+  return deliver_locked(agent, ticket, std::move(outcome), ignored, now_us);
 }
 
 std::size_t ProbeScheduler::run_offline_jobs(std::size_t max_jobs) {

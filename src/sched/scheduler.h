@@ -46,15 +46,11 @@
 
 namespace revtr::sched {
 
-// One probe a request stage needs before it can resume. Content-complete:
-// everything the wire probe depends on is in here, which is what makes the
-// coalescing key sound.
-struct ProbeDemand {
-  probing::ProbeType type = probing::ProbeType::kRecordRoute;
-  topology::HostId from = topology::kInvalidId;
-  net::Ipv4Addr target;
-  std::optional<net::Ipv4Addr> spoof_as;
-  std::vector<net::Ipv4Addr> prespec;  // TS prespecified addresses.
+// One probe a request stage needs before it can resume: the wire spec plus
+// scheduling-only fields that never cross the transport. Content-complete:
+// everything the wire probe depends on is in the spec, which is what makes
+// the coalescing key sound.
+struct ProbeDemand : probing::ProbeSpec {
   // Spoofed-RR only: the ingress this attempt expects, used to group
   // same-ingress demands from different requests into one wire batch.
   net::Ipv4Addr batch_ingress;
@@ -68,16 +64,10 @@ struct ProbeDemand {
   std::uint64_t coalesce_key() const;
 };
 
-// The resolved outcome of one demand, in the shape the stages consume.
-struct ProbeOutcome {
-  bool responded = false;
-  std::vector<net::Ipv4Addr> slots;    // RR reply slots.
-  std::vector<bool> stamped;           // TS stamps observed.
-  probing::TracerouteResult traceroute;
-  util::SimClock::Micros duration_us = 0;
-  // Wire packets this outcome cost (traceroute: one per TTL). Coalesced
-  // copies report the issuing probe's packets but are not charged again.
-  std::uint64_t packets = 0;
+// The resolved outcome of one demand: the wire reply plus the scheduler's
+// bookkeeping. Coalesced copies report the issuing probe's packets but are
+// not charged again.
+struct ProbeOutcome : probing::ProbeReply {
   // True when this demand was answered by another request's in-flight
   // duplicate: no wire probe was issued for it.
   bool coalesced = false;
@@ -87,15 +77,6 @@ struct ProbeOutcome {
   // must digest identically.
   std::uint64_t digest() const;
 };
-
-// The wire-complete subset of a demand, in the shape that crosses the
-// transport seam (scheduling-only fields — batch_ingress, offline closures —
-// stay on the controller).
-probing::ProbeSpec spec_of(const ProbeDemand& demand);
-
-// Lifts a transport reply into the outcome shape the stages consume
-// (coalesced=false, no offline counters — scheduler-side bookkeeping).
-ProbeOutcome outcome_of(const probing::ProbeReply& reply);
 
 // Executes one demand synchronously: the blocking executor inside
 // RevtrEngine::measure() funnels through here, as src/core/ stage code is

@@ -15,11 +15,15 @@ constexpr std::chrono::milliseconds kIdleWait{1};
 WorkerStack::WorkerStack(const CampaignDeps& deps,
                          const core::EngineConfig& config, std::uint64_t seed,
                          std::shared_ptr<core::EngineCaches> caches)
-    : network(deps.topo, deps.plane, util::mix_hash(seed, 0x6e7ULL)),
+    : network(deps.topo, deps.plane, network_seed(seed)),
       prober(network),
       engine(prober, deps.topo, deps.atlas, deps.ingress, deps.ip2as,
-             deps.relationships, config, util::mix_hash(seed, 0x6e7ULL)) {
+             deps.relationships, config, network_seed(seed)) {
   engine.set_shared_caches(std::move(caches));
+}
+
+std::uint64_t network_seed(std::uint64_t seed) {
+  return util::mix_hash(seed, 0x6e7ULL);
 }
 
 std::uint64_t request_seed(std::uint64_t seed, std::uint64_t index) {

@@ -59,6 +59,11 @@ struct WorkerStack {
   WorkerStack& operator=(const WorkerStack&) = delete;
 };
 
+// The Network (and engine) seed of every worker stack built from `seed`. A
+// VP agent builds its Network from it too, which is what makes its probe
+// replies byte-identical to a worker's own prober.
+std::uint64_t network_seed(std::uint64_t seed);
+
 // The engine RNG seed of request `index`: the same stream whichever worker
 // runs the request and whatever ran before it.
 std::uint64_t request_seed(std::uint64_t seed, std::uint64_t index);

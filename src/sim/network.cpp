@@ -251,28 +251,7 @@ void Network::forward_pass(Packet packet, RouterId origin,
 }
 
 SendResult Network::send(const Packet& packet, HostId sender) {
-  SendResult result;
-  send_into(packet, sender, result);
-  return result;
-}
-
-void Network::send_batch(std::span<const BatchProbe> probes,
-                         std::vector<SendResult>& results) {
-  // Sequential per probe on purpose: the loss draws must happen in batch
-  // order for outcomes to match per-probe send() calls byte for byte. The
-  // batching win is the reused scratch, not reordered work.
-  results.resize(probes.size());
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    send_into(probes[i].packet, probes[i].sender, results[i]);
-  }
-}
-
-void Network::send_into(const Packet& packet, HostId sender,
-                        SendResult& out) {
-  out.reply.reset();
-  out.rtt_us = 0;
-  out.request_path.clear();
-  out.reply_path.clear();
+  SendResult out;
   ++probes_injected_;
   const auto& host = topo_.host(sender);
 
@@ -280,13 +259,13 @@ void Network::send_into(const Packet& packet, HostId sender,
   // failing looks the same to the measurer (no answer).
   if (loss_rate_ > 0.0 &&
       static_cast<double>(rng_() >> 11) * 0x1.0p-53 < loss_rate_) {
-    return;
+    return out;
   }
 
   // Source address validation: a spoofed packet leaves the sender's network
   // only when the host may spoof and its AS does not filter.
   if (packet.src != host.addr && !can_spoof(sender)) {
-    return;
+    return out;
   }
 
   const auto src_prefix = topo_.prefix_of(host.addr);
@@ -332,13 +311,13 @@ void Network::send_into(const Packet& packet, HostId sender,
     response_arrival = topo_.router(request_pass.router).loopback;
   }
 
-  if (!response) return;
+  if (!response) return out;
 
   // Route the response to the IP source of the probe. It is observable only
   // if that address belongs to a host (the unspoofed sender, or the spoofed
   // victim S in the Reverse Traceroute dance).
   const auto observer = topo_.host_at(response->dst);
-  if (!observer) return;
+  if (!observer) return out;
 
   // A router answering for itself emits the reply rather than forwarding
   // a received packet, so it must not add a second stamp. Both facts are
@@ -353,10 +332,11 @@ void Network::send_into(const Packet& packet, HostId sender,
   std::swap(out.reply_path, reply_pass.path);
 
   if (!reply_pass.delivered || reply_pass.host != *observer) {
-    return;  // Reply lost (filtered, unroutable, expired).
+    return out;  // Reply lost (filtered, unroutable, expired).
   }
   out.reply = std::move(reply_pass.delivered);
   out.rtt_us = elapsed + kAccessDelayUs;
+  return out;
 }
 
 }  // namespace revtr::sim

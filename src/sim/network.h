@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "net/packet.h"
@@ -39,12 +38,6 @@ struct SendResult {
   bool answered() const noexcept { return reply.has_value(); }
 };
 
-// One probe of a batch handed to Network::send_batch.
-struct BatchProbe {
-  net::Packet packet;
-  topology::HostId sender = topology::kInvalidId;
-};
-
 class Network {
  public:
   static constexpr util::SimClock::Micros kAccessDelayUs = 200;
@@ -58,16 +51,6 @@ class Network {
   // host would observe it. Returns the reply only when packet.src resolves
   // to a host (otherwise the reply vanishes into the simulated Internet).
   SendResult send(const net::Packet& packet, topology::HostId sender);
-
-  // Steps a whole probe batch (the engine's 3-probe spoofed-RR batches)
-  // through the topology in one call. Semantically identical to calling
-  // send() per probe in order — the loss-rng draws happen in batch order,
-  // so outcomes are byte-identical either way — but all passes share the
-  // simulator's path/option scratch and `results` reuses its element
-  // capacity across batches, so the steady state forwards packets without
-  // allocating. `results` is resized to probes.size().
-  void send_batch(std::span<const BatchProbe> probes,
-                  std::vector<SendResult>& results);
 
   // True when `sender`'s network permits it to emit packets whose source
   // address it does not own.
@@ -133,12 +116,6 @@ class Network {
       path.clear();
     }
   };
-
-  // send() with the caller owning the result storage: `out`'s vectors are
-  // cleared, not reallocated, so repeated sends into the same SendResult
-  // reuse their capacity (the per-probe win send_batch builds on).
-  void send_into(const net::Packet& packet, topology::HostId sender,
-                 SendResult& out);
 
   // `origin_emits` marks a pass whose first router is the packet's own
   // originator (a router answering a probe): it forwards without stamping,

@@ -316,5 +316,70 @@ TEST(AgentSplit, ExpiredAgentIsDisconnectedAndSeesEof) {
   EXPECT_EQ(stats.agents_expired, 1u);
 }
 
+TEST(AgentSplit, PacedAgentKeepsHeartbeating) {
+  constexpr std::size_t kRequests = 2;
+
+  std::vector<Signature> monolith;
+  {
+    server::ServerDaemon daemon(controller_options("paced_mono"));
+    ASSERT_TRUE(daemon.start());
+    monolith = run_campaign(controller_options("paced_mono").socket_path,
+                            kRequests);
+    daemon.stop();
+  }
+  ASSERT_EQ(monolith.size(), kRequests);
+
+  // One agent with a burst of one token per VP, refilled every 500 ms: once
+  // a VP has spent its token, each of its probes waits longer than the
+  // controller's 200 ms agent timeout (and longer than the 250 ms between
+  // expiry sweeps). Heartbeats every 20 ms must keep it attached throughout.
+  auto options = controller_options("paced");
+  options.remote_probing = true;
+  options.agent_timeout_us = 200'000;
+  auto paced_options = agent_options(options, "vp-paced", 1);
+  paced_options.heartbeat_interval_ms = 20;
+  paced_options.probes_per_sec = 2.0;
+  agent::AgentDaemon paced(paced_options);
+  // Only started if the campaign stalls (the paced agent was expired): it
+  // finishes the requeued work so the daemon can drain and the test fails
+  // on its assertions instead of hanging.
+  agent::AgentDaemon rescue(agent_options(options, "vp-rescue", 8));
+
+  bool paced_clean = false;
+  std::vector<Signature> remote;
+  sched::SchedulerStats stats;
+  {
+    server::ServerDaemon daemon(options);
+    ASSERT_TRUE(daemon.start());
+    std::thread paced_thread([&] { paced_clean = paced.run(); });
+    while (paced.agent_id() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    remote = run_campaign(options.socket_path, kRequests);
+    std::thread rescue_thread;
+    if (remote.size() != kRequests) {
+      rescue_thread = std::thread([&] { rescue.run(); });
+    }
+    daemon.request_drain();
+    daemon.wait_until_drained();
+    paced_thread.join();
+    if (rescue_thread.joinable()) rescue_thread.join();
+    stats = daemon.sched_stats();
+    daemon.stop();
+  }
+
+  ASSERT_EQ(remote.size(), kRequests) << "campaign stalled while pacing";
+  for (std::size_t i = 0; i < kRequests; ++i) {
+    EXPECT_EQ(remote[i], monolith[i]) << "request " << i;
+  }
+  EXPECT_TRUE(paced_clean);
+  EXPECT_EQ(stats.agents_expired, 0u);
+  EXPECT_EQ(stats.reassigned, 0u);
+  // The waits were real: more probes than one token per VP, and the agent
+  // heartbeated through them.
+  EXPECT_GT(paced.counters().executed, options.topo.num_vps);
+  EXPECT_GT(paced.counters().heartbeats, 0u);
+}
+
 }  // namespace
 }  // namespace revtr

@@ -2,9 +2,12 @@
 #include <memory>
 
 #include <algorithm>
+#include <tuple>
+#include <vector>
 
 #include "net/ip_options.h"
 #include "probing/prober.h"
+#include "probing/transport.h"
 #include "routing/forwarding.h"
 #include "sim/network.h"
 #include "topology/builder.h"
@@ -231,6 +234,94 @@ TEST_F(ProbingFixture, TsPingStampedBoundedByOptionCapacity) {
   if (ts.responded) {
     EXPECT_EQ(ts.stamped.size(), prespec.size());
   }
+}
+
+class EventLog final : public ProbeObserver {
+ public:
+  void on_probe(const ProbeEvent& event) override { events.push_back(event); }
+  std::vector<ProbeEvent> events;
+};
+
+auto event_fields(const ProbeEvent& e) {
+  return std::tie(e.type, e.from, e.target, e.spoof_as, e.responded,
+                  e.offline, e.suppressed, e.packets, e.slots, e.prespec,
+                  e.stamped, e.tr_hops, e.tr_reached);
+}
+
+auto counter_fields(const ProbeCounters& c) {
+  return std::tie(c.ping, c.rr, c.spoofed_rr, c.ts, c.spoofed_ts,
+                  c.traceroute_packets, c.traceroutes);
+}
+
+TEST_F(ProbingFixture, DefaultExecuteBatchMatchesSequentialRrPings) {
+  // A batch mixing plain and spoofed RR, one item vetoed by the fault
+  // policy, on a lossy network: the transport's default execute_batch must
+  // leave results, counters and the observer's event stream exactly as
+  // sequential rr_ping() calls do on a twin network with the same seed.
+  const auto& vps = topo_->vantage_points();
+  const net::Ipv4Addr spoof = topo_->host(vps[0]).addr;
+  std::vector<RrBatchItem> items;
+  for (std::size_t i = 0; i < 8; ++i) {
+    RrBatchItem item;
+    item.from = vps[1 + i % (vps.size() - 1)];
+    item.target = topo_->host(topo_->probe_hosts()[i]).addr;
+    if (i % 2 == 0) item.spoof_as = spoof;
+    items.push_back(item);
+  }
+  const net::Ipv4Addr vetoed = items[3].target;
+  const FaultPolicy policy = [vetoed](const ProbeEvent& event) {
+    return event.target == vetoed;
+  };
+
+  sim::Network batch_net(*topo_, *plane_, 41);
+  sim::Network seq_net(*topo_, *plane_, 41);
+  batch_net.set_loss_rate(0.3);
+  seq_net.set_loss_rate(0.3);
+  Prober batch_prober(batch_net);
+  Prober seq_prober(seq_net);
+  EventLog batch_log;
+  EventLog seq_log;
+  batch_prober.set_observer(&batch_log);
+  seq_prober.set_observer(&seq_log);
+  batch_prober.set_fault_policy(policy);
+  seq_prober.set_fault_policy(policy);
+
+  LocalProbeTransport transport(batch_prober);
+  std::vector<RrProbeResult> batch;
+  transport.execute_batch(items, batch);
+  std::vector<RrProbeResult> sequential;
+  for (const auto& item : items) {
+    sequential.push_back(
+        seq_prober.rr_ping(item.from, item.target, item.spoof_as));
+  }
+
+  ASSERT_EQ(batch.size(), items.size());
+  std::size_t answered = 0;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    EXPECT_EQ(batch[i].responded, sequential[i].responded) << "item " << i;
+    EXPECT_EQ(batch[i].slots, sequential[i].slots) << "item " << i;
+    EXPECT_EQ(batch[i].duration_us, sequential[i].duration_us) << "item " << i;
+    if (batch[i].responded) ++answered;
+  }
+  // Not vacuous: the batch saw answers, and the veto or loss took others.
+  EXPECT_GT(answered, 0u);
+  EXPECT_LT(answered, items.size());
+  EXPECT_FALSE(batch[3].responded);
+
+  EXPECT_TRUE(counter_fields(batch_prober.counters()) ==
+              counter_fields(seq_prober.counters()));
+  EXPECT_EQ(batch_prober.counters().spoofed_rr, 4u);
+  EXPECT_EQ(batch_prober.counters().rr, 4u);
+  EXPECT_EQ(batch_net.probes_injected(), seq_net.probes_injected());
+
+  ASSERT_EQ(batch_log.events.size(), items.size());
+  ASSERT_EQ(seq_log.events.size(), items.size());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    EXPECT_TRUE(event_fields(batch_log.events[i]) ==
+                event_fields(seq_log.events[i]))
+        << "event " << i;
+  }
+  EXPECT_TRUE(batch_log.events[3].suppressed);
 }
 
 TEST_F(ProbingFixture, CounterArithmetic) {

@@ -31,7 +31,7 @@ topology::TopologyConfig tiny_config() {
 }
 
 // Executes on a local prober and reports each wire probe to `hook` first
-// (batch items one by one, as single spoofed-RR specs).
+// (batch items too: the default execute_batch runs each through execute()).
 class HookTransport final : public probing::ProbeTransport {
  public:
   HookTransport(probing::Prober& prober,
@@ -41,14 +41,6 @@ class HookTransport final : public probing::ProbeTransport {
   probing::ProbeReply execute(const probing::ProbeSpec& spec) override {
     hook_(spec);
     return local_.execute(spec);
-  }
-  void execute_batch(std::span<const probing::RrBatchItem> items,
-                     std::vector<probing::RrProbeResult>& out) override {
-    for (const auto& item : items) {
-      hook_(probing::ProbeSpec{probing::ProbeType::kSpoofedRecordRoute,
-                               item.from, item.target, item.spoof_as, {}});
-    }
-    local_.execute_batch(items, out);
   }
 
  private:
@@ -531,8 +523,8 @@ TEST_F(SchedFixture, DispatcherAssignsAndDeliversLikeAPump) {
   const auto assignments = scheduler.next_assignments(agent);
   ASSERT_EQ(assignments.size(), 2u);
   // The wire spec is exactly what a local pump would have executed.
-  EXPECT_EQ(assignments[0].spec, spec_of(ping_demand(0, 0)));
-  EXPECT_EQ(assignments[1].spec, spec_of(ping_demand(1, 1)));
+  EXPECT_EQ(assignments[0].spec, probing::ProbeSpec(ping_demand(0, 0)));
+  EXPECT_EQ(assignments[1].spec, probing::ProbeSpec(ping_demand(1, 1)));
   EXPECT_EQ(scheduler.assigned_in_flight(), 2u);
 
   // An agent executes on its own prober; here the lab's stands in (the
