@@ -48,6 +48,9 @@
 #                 guarded-member, raii-guard, lock-order) is the enforcement.
 #   * clang-tidy  config in .clang-tidy (includes the concurrency-* checks).
 #
+# Plus a perfbench smoke: perfbench/run.py builds the benchmark harness and
+# runs a 2 s campaign workload, which must report correct with 0 failed.
+#
 # Plus a bench-artifact smoke: scaled-down runs of bench_parallel_campaign,
 # bench_throughput, and bench_micro_net must each emit their BENCH_*.json
 # with the documented schema (numeric headline fields, peak RSS) for
@@ -153,6 +156,25 @@ bench_smoke() {
     # see README "Bench-delta gate" for the refresh procedure.
     echo "==> [default] bench delta vs bench/baselines/smoke"
     scripts/bench_delta.py --baselines bench/baselines/smoke --fresh build
+}
+
+# perfbench smoke: one short campaign run of the benchmark harness
+# (perfbench/run.py builds it from src/ into build/perfbench). It gates no
+# timing, only that the run finishes with every request correct and none
+# failed, so the benchmark cannot silently rot between benchmark runs.
+perfbench_smoke() {
+    echo "==> [perfbench] smoke (campaign workload, 2 s, correctness only)"
+    out="build/perfbench_smoke.out"
+    CARGO_TARGET_DIR=build/perfbench python3 perfbench/run.py \
+        --workload campaign --seed 1 --seconds 2 --trace 0 >"$out"
+    last="$(tail -n 1 "$out")"
+    if ! printf '%s\n' "$last" | grep -q '"correct": *true' ||
+       ! printf '%s\n' "$last" | grep -q '"failed": *0[,}]'; then
+        echo "perfbench smoke: run not correct or had failed requests:" >&2
+        echo "$last" >&2
+        exit 1
+    fi
+    echo "perfbench smoke: ok (campaign run correct, 0 failed)"
 }
 
 # revtr_lint ships its own fixture corpus (--self-test); the committed
@@ -351,6 +373,7 @@ sched_smoke
 serverd_smoke
 agent_smoke
 bench_smoke
+perfbench_smoke
 echo "==> [release] configure"
 cmake --preset release >/dev/null
 echo "==> [release] build"

@@ -121,7 +121,7 @@ bool AgentDaemon::handle_assignment(const AgentProbe& probe) {
     ++counters_.invalid_specs;
   } else {
     pace(probe.spec.from);
-    reply = probing::execute_spec(*prober_, probe.spec);
+    reply = probing::execute_spec(lab_->prober, probe.spec);
   }
   std::uint64_t executed = 0;
   {
@@ -146,10 +146,7 @@ bool AgentDaemon::run() {
   // returns byte-identical replies to a controller-local prober.
   lab_ = std::make_unique<eval::Lab>(options_.topo,
                                      core::EngineConfig::revtr2(),
-                                     options_.seed);
-  network_ = std::make_unique<sim::Network>(
-      lab_->topo, lab_->plane, service::network_seed(options_.seed));
-  prober_ = std::make_unique<probing::Prober>(*network_);
+                                     service::network_seed(options_.seed));
 
   // Retries while the controller is still binding, like DaemonClient.
   if (!socket_.connect(options_.socket_path)) {

@@ -117,14 +117,10 @@ class AgentDaemon {
   const AgentOptions options_;
   const std::chrono::milliseconds heartbeat_;  // Clamped >= 1 ms.
 
-  // Measurement stack, built by run(). The Lab carries topology + routing;
-  // the agent's own Network + Prober execute the probes (same net seed
-  // derivation as the controller's worker stacks).
+  // Measurement stack, built by run(): topology, routing, and the Network +
+  // Prober that execute the probes, seeded like the controller's worker
+  // stacks (service::network_seed).
   std::unique_ptr<eval::Lab> lab_;  // lint: lock-free(run thread only)
-  std::unique_ptr<sim::Network>
-      network_;  // lint: lock-free(run thread only)
-  std::unique_ptr<probing::Prober>
-      prober_;  // lint: lock-free(run thread only)
 
   server::FrameSocket socket_;  // lint: lock-free(run thread only)
   std::unordered_map<topology::HostId, server::TokenBucket>

@@ -36,7 +36,6 @@ RequestTask::RequestTask(RevtrEngine& engine, HostId destination,
   src_addr_ = engine_.topo_.host(source).addr;
   current_ = engine_.topo_.host(destination).addr;
   result_.hops.push_back(ReverseHop{current_, HopSource::kDestination});
-  scratch_.emplace(arena_);
 }
 
 const EngineConfig& RequestTask::config() const noexcept {
@@ -191,11 +190,8 @@ void RequestTask::supply(std::span<const sched::ProbeOutcome> outcomes) {
 // --- Main loop head: termination, atlas, RR entry ---------------------------
 
 void RequestTask::step_loop_head() {
-  // All scratch from the previous technique round is dead here: destroy the
-  // containers, recycle their memory in O(1), start the round empty.
-  scratch_.reset();
-  arena_.reset();
-  scratch_.emplace(arena_);
+  // All scratch from the previous technique round is dead here.
+  scratch_.clear();
   if (result_.hops.size() >= config().max_reverse_hops) {
     finish();  // Undecided loop exit: status stays kUnreachable.
     return;
@@ -341,7 +337,7 @@ void RequestTask::on_discovery(std::span<const sched::ProbeOutcome> outcomes) {
 }
 
 void RequestTask::setup_attempts(const vpselect::PrefixPlan& plan) {
-  auto& attempts = scratch_->attempts;
+  auto& attempts = scratch_.attempts;
   attempts.clear();
   if (config().use_ingress_selection) {
     const auto planned =
@@ -361,8 +357,8 @@ void RequestTask::setup_attempts(const vpselect::PrefixPlan& plan) {
 }
 
 void RequestTask::step_spoof_emit() {
-  const auto& attempts = scratch_->attempts;
-  auto& batch_attempts = scratch_->batch_attempts;
+  const auto& attempts = scratch_.attempts;
+  auto& batch_attempts = scratch_.batch_attempts;
   if (next_attempt_ >= attempts.size()) {
     if (metrics() != nullptr) metrics()->rr_miss->add();
     stage_ = Stage::kAfterRr;
@@ -394,10 +390,10 @@ void RequestTask::step_spoof_emit() {
 
 void RequestTask::on_spoof_batch(
     std::span<const sched::ProbeOutcome> outcomes) {
-  auto& revealed = scratch_->revealed;
+  auto& revealed = scratch_.revealed;
   revealed.clear();
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const auto& attempt = scratch_->batch_attempts[i];
+    const auto& attempt = scratch_.batch_attempts[i];
     const auto& probe = outcomes[i];
     charge(consumed_[i], probe);
     if (!probe.responded) {
@@ -420,7 +416,7 @@ void RequestTask::on_spoof_batch(
   // batch timeout for stragglers (§5.2.4).
   clock_.advance(config().spoof_batch_timeout);
   ++result_.spoofed_batches;
-  annotate_stage("sent", std::to_string(scratch_->batch_attempts.size()));
+  annotate_stage("sent", std::to_string(scratch_.batch_attempts.size()));
   close_stage();
   if (revealed.empty()) {
     stage_ = Stage::kSpoofEmit;
@@ -442,7 +438,7 @@ void RequestTask::step_dbr_emit() {
   sched::ProbeDemand demand;
   demand.type = probing::ProbeType::kSpoofedRecordRoute;
   demand.from = vps[rng_.below(vps.size())];
-  demand.target = scratch_->revealed[0];
+  demand.target = scratch_.revealed[0];
   demand.spoof_as = src_addr_;
   demands_.push_back(std::move(demand));
   stage_ = Stage::kDbrVerifyWait;
@@ -454,8 +450,8 @@ void RequestTask::on_dbr_verify(std::span<const sched::ProbeOutcome> outcomes) {
   clock_.advance(check.duration_us);
   if (check.responded) {
     const auto recheck =
-        RevtrEngine::extract_reverse_hops(check.slots, scratch_->revealed[0]);
-    if (!recheck.empty() && recheck.front() != scratch_->revealed[1]) {
+        RevtrEngine::extract_reverse_hops(check.slots, scratch_.revealed[0]);
+    if (!recheck.empty() && recheck.front() != scratch_.revealed[1]) {
       result_.dbr_suspect = true;
       annotate_stage("suspect", "1");
     }
@@ -465,7 +461,7 @@ void RequestTask::on_dbr_verify(std::span<const sched::ProbeOutcome> outcomes) {
 }
 
 void RequestTask::finish_spoof_round() {
-  const auto& revealed = scratch_->revealed;
+  const auto& revealed = scratch_.revealed;
   if (append_reverse_hops(revealed, HopSource::kSpoofedRecordRoute)) {
     remember_rr(revealed, HopSource::kSpoofedRecordRoute);
     if (metrics() != nullptr) metrics()->rr_spoofed_hit->add();
@@ -487,7 +483,7 @@ void RequestTask::step_after_rr() {
     }
     open_stage("timestamp");
     const auto adjacent = engine_.adjacencies_(current_);
-    scratch_->ts_candidates.assign(adjacent.begin(), adjacent.end());
+    scratch_.ts_candidates.assign(adjacent.begin(), adjacent.end());
     ts_index_ = 0;
     ts_tried_ = 0;
     stage_ = Stage::kTsNext;
@@ -501,7 +497,7 @@ void RequestTask::step_after_rr() {
 }
 
 void RequestTask::step_ts_next() {
-  const auto& ts_candidates = scratch_->ts_candidates;
+  const auto& ts_candidates = scratch_.ts_candidates;
   while (ts_index_ < ts_candidates.size()) {
     const Ipv4Addr adjacent = ts_candidates[ts_index_++];
     if (ts_tried_++ >= config().max_ts_adjacencies) break;
@@ -668,12 +664,8 @@ void RequestTask::apply_symmetry(std::optional<Ipv4Addr> penultimate,
 // --- Shared helpers ---------------------------------------------------------
 
 bool RequestTask::already_in_path(Ipv4Addr addr) const {
-  // Scan the SoA address column directly: a contiguous run of 4-byte
-  // addresses, so the common miss case stays in one cache line per 16 hops.
-  const auto addrs = result_.hops.addrs();
-  const auto sources = result_.hops.sources();
-  for (std::size_t i = 0; i < addrs.size(); ++i) {
-    if (addrs[i] == addr && sources[i] != HopSource::kSuspiciousGap) {
+  for (const ReverseHop& hop : result_.hops) {
+    if (hop.addr == addr && hop.source != HopSource::kSuspiciousGap) {
       return true;
     }
   }
@@ -717,8 +709,9 @@ void RequestTask::finalize_flags() {
       const auto a = engine_.ip2as_.lookup(result_.hops[h].addr);
       const auto b = engine_.ip2as_.lookup(result_.hops[h + 1].addr);
       if (a && b && *a == from_as && *b == to_as) {
-        result_.hops.insert(h + 1,
-                            ReverseHop{Ipv4Addr{}, HopSource::kSuspiciousGap});
+        result_.hops.insert(
+            result_.hops.begin() + static_cast<std::ptrdiff_t>(h + 1),
+            ReverseHop{Ipv4Addr{}, HopSource::kSuspiciousGap});
         break;
       }
     }

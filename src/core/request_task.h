@@ -34,7 +34,6 @@
 #include "core/revtr.h"
 #include "obs/trace.h"
 #include "sched/scheduler.h"
-#include "util/arena.h"
 #include "util/flat_map.h"
 #include "util/rng.h"
 #include "util/sim_clock.h"
@@ -174,27 +173,23 @@ class RequestTask {
   std::vector<sched::ProbeDemand> demands_;
   std::vector<sched::ProbeDemand> consumed_;  // Last fulfilled demand set.
 
-  // Per-round scratch containers, bump-allocated from arena_. Everything in
-  // here is dead by the time control re-enters kLoopHead (the RR attempt
-  // list, the spoof batch, revealed hops, and TS candidates all live within
-  // one technique round), so step_loop_head() destroys the containers,
-  // resets the arena in O(1), and re-creates them empty. Destroy-then-reset
-  // is mandatory: clear() alone would leave stale capacity pointing into
-  // recycled arena memory (util/arena.h lifetime rules).
+  // Per-round scratch containers. Everything in here is dead by the time
+  // control re-enters kLoopHead (the RR attempt list, the spoof batch,
+  // revealed hops, and TS candidates all live within one technique round),
+  // so step_loop_head() clears them; clear() keeps capacity, so later
+  // rounds reuse it instead of allocating.
   struct Scratch {
-    template <typename T>
-    using Vec = std::vector<T, util::ArenaAllocator<T>>;
+    std::vector<vpselect::Attempt> attempts;
+    std::vector<vpselect::Attempt> batch_attempts;  // Parallel to demands_.
+    std::vector<net::Ipv4Addr> revealed;
+    std::vector<net::Ipv4Addr> ts_candidates;
 
-    explicit Scratch(util::Arena& arena)
-        : attempts(util::ArenaAllocator<vpselect::Attempt>(arena)),
-          batch_attempts(util::ArenaAllocator<vpselect::Attempt>(arena)),
-          revealed(util::ArenaAllocator<net::Ipv4Addr>(arena)),
-          ts_candidates(util::ArenaAllocator<net::Ipv4Addr>(arena)) {}
-
-    Vec<vpselect::Attempt> attempts;
-    Vec<vpselect::Attempt> batch_attempts;  // Parallel to demands_.
-    Vec<net::Ipv4Addr> revealed;
-    Vec<net::Ipv4Addr> ts_candidates;
+    void clear() noexcept {
+      attempts.clear();
+      batch_attempts.clear();
+      revealed.clear();
+      ts_candidates.clear();
+    }
   };
 
   // RR technique state.
@@ -208,10 +203,7 @@ class RequestTask {
   std::size_t ts_tried_ = 0;
   net::Ipv4Addr ts_adjacent_;
 
-  // arena_ before scratch_: the containers must be destroyed before the
-  // memory they point into.
-  util::Arena arena_;
-  std::optional<Scratch> scratch_;
+  Scratch scratch_;
 
   // Trace bookkeeping.
   obs::Trace::SpanId root_span_ = obs::Trace::kDroppedSpan;

@@ -43,14 +43,10 @@ std::string to_string(RevtrStatus status) {
 }
 
 std::vector<Ipv4Addr> ReverseTraceroute::ip_hops() const {
-  const auto addr_col = hops.addrs();
-  const auto source_col = hops.sources();
   std::vector<Ipv4Addr> addrs;
-  addrs.reserve(addr_col.size());
-  for (std::size_t i = 0; i < addr_col.size(); ++i) {
-    if (source_col[i] != HopSource::kSuspiciousGap) {
-      addrs.push_back(addr_col[i]);
-    }
+  addrs.reserve(hops.size());
+  for (const ReverseHop& hop : hops) {
+    if (hop.source != HopSource::kSuspiciousGap) addrs.push_back(hop.addr);
   }
   return addrs;
 }

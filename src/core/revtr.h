@@ -64,98 +64,6 @@ struct ReverseHop {
   bool operator==(const ReverseHop&) const = default;
 };
 
-// Reverse-path hop storage, flattened structure-of-arrays (DESIGN.md §13):
-// parallel address and provenance arrays instead of a vector of ReverseHop.
-// The hot consumer is RequestTask::already_in_path — a linear scan per
-// revealed hop — which now walks a dense 4-byte address array. The API
-// stays hop-shaped: iteration and operator[] materialize ReverseHop values,
-// so range-for call sites and the serializer are unchanged (and the JSON
-// encoding is byte-identical, pinned by serialize_test's golden test).
-//
-// Accessors return *const values*, not references: assigning through a
-// temporary (hops.front().source = ...) would silently mutate nothing, and
-// the const qualifier turns that mistake into a compile error. Mutation
-// goes through set_source()/set_addr().
-class HopList {
- public:
-  std::size_t size() const noexcept { return addrs_.size(); }
-  bool empty() const noexcept { return addrs_.empty(); }
-  void reserve(std::size_t n) {
-    addrs_.reserve(n);
-    sources_.reserve(n);
-  }
-  void clear() noexcept {
-    addrs_.clear();
-    sources_.clear();
-  }
-
-  void push_back(ReverseHop hop) {
-    addrs_.push_back(hop.addr);
-    sources_.push_back(hop.source);
-  }
-  // Inserts before position `index` (the finalize_flags "*" insertion).
-  void insert(std::size_t index, ReverseHop hop) {
-    REVTR_CHECK(index <= addrs_.size());
-    addrs_.insert(addrs_.begin() + static_cast<std::ptrdiff_t>(index),
-                  hop.addr);
-    sources_.insert(sources_.begin() + static_cast<std::ptrdiff_t>(index),
-                    hop.source);
-  }
-
-  const ReverseHop operator[](std::size_t index) const {
-    return ReverseHop{addrs_[index], sources_[index]};
-  }
-  const ReverseHop front() const { return (*this)[0]; }
-  const ReverseHop back() const { return (*this)[addrs_.size() - 1]; }
-
-  void set_source(std::size_t index, HopSource source) {
-    sources_[index] = source;
-  }
-  void set_addr(std::size_t index, net::Ipv4Addr addr) {
-    addrs_[index] = addr;
-  }
-
-  // Dense columns for scan-heavy consumers (already_in_path, ip_hops).
-  std::span<const net::Ipv4Addr> addrs() const noexcept { return addrs_; }
-  std::span<const HopSource> sources() const noexcept { return sources_; }
-
-  class const_iterator {
-   public:
-    using value_type = ReverseHop;
-    using difference_type = std::ptrdiff_t;
-
-    const_iterator() = default;
-    const_iterator(const HopList* list, std::size_t index)
-        : list_(list), index_(index) {}
-    const ReverseHop operator*() const { return (*list_)[index_]; }
-    const_iterator& operator++() {
-      ++index_;
-      return *this;
-    }
-    const_iterator operator++(int) {
-      const_iterator copy = *this;
-      ++index_;
-      return copy;
-    }
-    bool operator==(const const_iterator& other) const {
-      return index_ == other.index_;
-    }
-
-   private:
-    const HopList* list_ = nullptr;
-    std::size_t index_ = 0;
-  };
-
-  const_iterator begin() const { return const_iterator(this, 0); }
-  const_iterator end() const { return const_iterator(this, addrs_.size()); }
-
-  bool operator==(const HopList&) const = default;
-
- private:
-  std::vector<net::Ipv4Addr> addrs_;
-  std::vector<HopSource> sources_;
-};
-
 enum class RevtrStatus : std::uint8_t {
   kComplete,
   kAbortedInterdomainSymmetry,  // Q5: refused to guess (revtr 2.0 only).
@@ -168,7 +76,7 @@ struct ReverseTraceroute {
   topology::HostId destination = topology::kInvalidId;
   topology::HostId source = topology::kInvalidId;
   RevtrStatus status = RevtrStatus::kUnreachable;
-  HopList hops;  // destination ... source order (SoA storage).
+  std::vector<ReverseHop> hops;  // destination ... source order.
 
   util::SimSpan span;                // Simulated wall-clock of the request.
   probing::ProbeCounters probes;     // Online packets spent on this request.

@@ -85,6 +85,22 @@ void ServerDaemon::request_drain() noexcept {
   wake_net();
 }
 
+void ServerDaemon::begin_drain() {
+  {
+    const util::MutexLock lock(mu_);
+    draining_ = true;
+    mark_drained_if_idle_locked();
+  }
+  work_cv_.notify_all();
+}
+
+void ServerDaemon::mark_drained_if_idle_locked() {
+  if (draining_ && queued_ == 0 && inflight_count_ == 0 && !drained_) {
+    drained_ = true;
+    drained_cv_.notify_all();
+  }
+}
+
 void ServerDaemon::install_signal_handlers(ServerDaemon* daemon) {
   g_signal_daemon.store(daemon, std::memory_order_release);
   if (daemon != nullptr) {
@@ -458,15 +474,7 @@ void ServerDaemon::handle_message(Conn& conn, Message message) {
   }
 
   if (std::holds_alternative<Drain>(message)) {
-    {
-      const util::MutexLock lock(mu_);
-      draining_ = true;
-      if (queued_ == 0 && inflight_count_ == 0 && !drained_) {
-        drained_ = true;
-        drained_cv_.notify_all();
-      }
-    }
-    work_cv_.notify_all();
+    begin_drain();
     conn.awaiting_drain = true;
     return;
   }
@@ -571,17 +579,7 @@ void ServerDaemon::net_loop() {
   for (;;) {
     // Convert a (possibly signal-context) drain request into the guarded
     // draining transition.
-    if (drain_requested_.load(std::memory_order_acquire)) {
-      {
-        const util::MutexLock lock(mu_);
-        draining_ = true;
-        if (queued_ == 0 && inflight_count_ == 0 && !drained_) {
-          drained_ = true;
-          drained_cv_.notify_all();
-        }
-      }
-      work_cv_.notify_all();
-    }
+    if (drain_requested_.load(std::memory_order_acquire)) begin_drain();
 
     // Expiry sweep: an agent silent (no heartbeat, no result) past the
     // timeout is detached — its assignments requeue — and hung up on, so
@@ -770,14 +768,13 @@ void ServerDaemon::worker_loop(std::size_t w) {
     auto frame = encode_frame(result);
     {
       const util::MutexLock lock(mu_);
-      // A shed request spent no probes; an incomplete one is not charged.
-      if (result.shed || !measured->complete()) {
-        service_->refund_request(meta.tenant);
-      }
+      // A shed request spent no probes and is refunded; a measured one
+      // settles like a service request.
       if (result.shed) {
+        service_->refund_request(meta.tenant);
         ++counters_.shed_queued;
       } else {
-        service_->charge_probes_for(meta.tenant, *measured);
+        service_->settle(meta.tenant, *measured);
         admission_.observe_latency(wall_us);
         ++counters_.completed;
         if (result.deadline_missed) ++counters_.deadline_missed;
@@ -785,10 +782,7 @@ void ServerDaemon::worker_loop(std::size_t w) {
       --inflight_count_;
       inflight_->set(static_cast<std::int64_t>(inflight_count_));
       completions_.push_back(Completion{meta.conn_id, std::move(frame)});
-      if (draining_ && queued_ == 0 && inflight_count_ == 0 && !drained_) {
-        drained_ = true;
-        drained_cv_.notify_all();
-      }
+      mark_drained_if_idle_locked();
     }
     if (result.shed) {
       sheds_total_->add();

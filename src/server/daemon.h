@@ -206,6 +206,12 @@ class ServerDaemon {
   // snapshot before mu_ (rank 10 under rank 110 — never nested).
   std::string build_stats_json();
   void wake_net() noexcept;
+  // Enters draining and, if nothing is queued or in flight, marks the
+  // daemon drained. Called for a DRAIN frame and for request_drain().
+  void begin_drain() REVTR_EXCLUDES(mu_);
+  // The drained transition: once draining with nothing queued or in
+  // flight, flips drained_ and wakes wait_until_drained().
+  void mark_drained_if_idle_locked() REVTR_REQUIRES(mu_);
 
   const ServerOptions options_;
 

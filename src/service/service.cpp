@@ -113,11 +113,16 @@ void RevtrService::refund_request(UserId user) {
   if (metrics_ != nullptr) metrics_->quota_refunds->add();
 }
 
-void RevtrService::charge_probes_for(UserId user,
-                                     const core::ReverseTraceroute& result) {
+void RevtrService::settle(UserId user, const core::ReverseTraceroute& result) {
+  if (!result.complete()) refund_request(user);
   const auto user_it = users_.find(user);
   if (user_it == users_.end()) return;
-  charge_probes(user_it->second, result);
+  const ProbeCharge cost = probe_cost_of(result);
+  user_it->second.probes_charged_today += cost.net();
+  if (metrics_ != nullptr) {
+    metrics_->probe_quota_charged->add(cost.demanded);
+    if (cost.refunded > 0) metrics_->probe_quota_refunded->add(cost.refunded);
+  }
 }
 
 std::size_t RevtrService::requests_charged_today(UserId user) const {
@@ -131,7 +136,6 @@ std::optional<ServedMeasurement> RevtrService::request_with_options(
   const auto source_it = sources_.find(source);
   if (source_it == sources_.end()) return std::nullopt;
   if (try_charge_request(user) != QuotaDecision::kCharged) return std::nullopt;
-  UserState& state = users_.find(user)->second;
 
   ServedMeasurement served;
   // Quota charges only stick for completed measurements (see request()).
@@ -149,8 +153,7 @@ std::optional<ServedMeasurement> RevtrService::request_with_options(
   }
 
   served.reverse = engine_.measure(destination, source, clock_);
-  if (!served.reverse.complete()) refund_request(user);
-  charge_probes(state, served.reverse);
+  settle(user, served.reverse);
   archive(served.reverse);
   if (options.with_forward_traceroute) {
     served.forward = prober_.traceroute(
@@ -181,16 +184,6 @@ std::optional<ServedMeasurement> RevtrService::on_ndt_measurement(
   return served;
 }
 
-void RevtrService::charge_probes(UserState& state,
-                                 const core::ReverseTraceroute& result) {
-  const ProbeCharge cost = probe_cost_of(result);
-  state.probes_charged_today += cost.net();
-  if (metrics_ != nullptr) {
-    metrics_->probe_quota_charged->add(cost.demanded);
-    if (cost.refunded > 0) metrics_->probe_quota_refunded->add(cost.refunded);
-  }
-}
-
 std::uint64_t RevtrService::probes_charged_today(UserId user) const {
   const auto it = users_.find(user);
   return it == users_.end() ? 0 : it->second.probes_charged_today;
@@ -209,10 +202,8 @@ std::optional<core::ReverseTraceroute> RevtrService::request(
   // abort or come back unreachable has received nothing, and burning their
   // daily limit on service-side failures would lock them out (Appx A).
   if (try_charge_request(user) != QuotaDecision::kCharged) return std::nullopt;
-  UserState& state = users_.find(user)->second;
   auto result = engine_.measure(destination, source, clock_);
-  if (!result.complete()) refund_request(user);
-  charge_probes(state, result);
+  settle(user, result);
   archive(result);
   return result;
 }

@@ -163,13 +163,13 @@ class RevtrService {
 
   // --- Quota surface (used directly by revtr_serverd, which runs the
   // measurement itself on its own staged workers and only needs the
-  // tenant accounting). All three mirror exactly what request() does
-  // around its engine call. Not thread-safe; the daemon serializes calls
-  // under its own mutex. ---
+  // tenant accounting). request() uses the same try_charge_request() and
+  // settle() around its engine call. Not thread-safe; the daemon serializes
+  // calls under its own mutex. ---
   // Outcome of a try_charge_request() admission check.
   enum class QuotaDecision : std::uint8_t {
-    kCharged,               // One request charged; pair with refund_request
-                            // if no path is delivered.
+    kCharged,               // One request charged; pair with settle(), or
+                            // refund_request() if never measured.
     kUnknownUser,
     kQuotaExhausted,        // Daily request-count limit spent.
     kProbeBudgetExhausted,  // Daily probe budget spent.
@@ -177,12 +177,15 @@ class RevtrService {
   // Charges one request against `user`'s daily limit (counted up front, the
   // same pre-charge request() performs).
   QuotaDecision try_charge_request(UserId user);
-  // Hands back one pre-charged request that delivered no path (shed, or a
-  // measurement that came back without a complete reverse route).
+  // Hands back one pre-charged request that was never measured (the daemon
+  // sheds it unmeasured). Measured requests go through settle().
   void refund_request(UserId user);
-  // Charges a finished measurement's probe cost (net of coalescing refunds)
-  // against `user`'s daily probe budget.
-  void charge_probes_for(UserId user, const core::ReverseTraceroute& result);
+  // Settles a finished measurement of a pre-charged request: refunds the
+  // request when no complete path came back, then charges its probe cost
+  // (net of coalescing refunds) against `user`'s daily probe budget. Probes
+  // were spent on the wire whether or not a path was delivered, so the
+  // probe charge has no failure refund.
+  void settle(UserId user, const core::ReverseTraceroute& result);
   // Requests currently charged against the daily limit. 0 for unknown users.
   std::size_t requests_charged_today(UserId user) const;
 
@@ -247,12 +250,6 @@ class RevtrService {
     std::size_t issued_today = 0;
     std::uint64_t probes_charged_today = 0;  // Net of coalescing refunds.
   };
-
-  // Charges `result`'s probe cost to `state` and counts the charge/refund
-  // metrics. Probes were spent on the wire whether or not the measurement
-  // delivered a path, so (unlike the request-count quota) there is no
-  // failure refund — only coalesced duplicates are handed back.
-  void charge_probes(UserState& state, const core::ReverseTraceroute& result);
 
   core::RevtrEngine& engine_;
   atlas::TracerouteAtlas& atlas_;

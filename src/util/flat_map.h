@@ -5,7 +5,8 @@
 // interface/host lookups, pending-probe tables, atlas hop indexes) that is
 // the dominant cost after the routing math itself. FlatMap keeps key/value
 // pairs inline in one power-of-two array with linear probing, so a lookup is
-// a hash, a mask, and a short contiguous scan.
+// a hash, a mask, and a short contiguous scan. DESIGN.md §13 records the
+// measurement against std::unordered_map that keeps it.
 //
 // Design choices:
 //   * Power-of-two capacity; slot = splitmix64-mixed hash & (capacity - 1).
@@ -18,16 +19,9 @@
 //   * Max load factor 7/8 before doubling; storage is a std::vector of
 //     slots, so the table obeys the no-raw-new rule and moves cheaply.
 //
-// Iterator contract (narrower than std::unordered_map — see flat_map_test):
-//   * Any insert may rehash and invalidates ALL iterators.
-//   * erase(it) returns an iterator at the same slot index, revalidated:
-//     backward shift may have moved the next cluster element into the
-//     erased slot, so resuming there visits every remaining element. The
-//     one exception is a probe cluster that wraps the end of the array —
-//     a shifted element can move from the array head to its tail and be
-//     visited a second time. Callers that erase while iterating must
-//     tolerate revisits or collect keys first (all in-tree callers do the
-//     latter).
+// Iterators: any insert may rehash and any erase may shift the rest of a
+// probe cluster, so both invalidate ALL iterators. Erase is by key only;
+// callers that drop entries while walking the table collect keys first.
 //
 // Key and Value must be default-constructible and movable; empty slots hold
 // default-constructed pairs. Keys are compared with operator==.
@@ -36,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -73,12 +68,6 @@ class FlatMap {
     Iterator(MapPtr map, std::size_t index) : map_(map), index_(index) {
       skip_empty();
     }
-    // const_iterator from iterator.
-    template <bool WasConst = Const,
-              typename = std::enable_if_t<WasConst && !std::is_same_v<
-                  Iterator<true>, Iterator<false>>>>
-    Iterator(const Iterator<false>& other)  // NOLINT(google-explicit-*)
-        : map_(other.map_), index_(other.index_) {}
 
     Ref operator*() const { return map_->slots_[index_].kv; }
     Ptr operator->() const { return &map_->slots_[index_].kv; }
@@ -97,7 +86,6 @@ class FlatMap {
     }
 
    private:
-    friend class FlatMap;
     void skip_empty() {
       while (index_ < map_->slots_.size() && !map_->slots_[index_].used) {
         ++index_;
@@ -204,11 +192,6 @@ class FlatMap {
     return 1;
   }
 
-  iterator erase(const_iterator pos) {
-    erase_at(pos.index_);
-    return iterator(this, pos.index_);
-  }
-
  private:
   struct Slot {
     value_type kv{};
@@ -281,45 +264,6 @@ class FlatMap {
 
   std::vector<Slot> slots_;
   std::size_t size_ = 0;
-};
-
-// Set counterpart: a FlatMap with no mapped value. Iteration yields keys.
-template <typename Key, typename Hash = FlatHash<Key>>
-class FlatSet {
-  struct Empty {};
-
- public:
-  bool insert(const Key& key) { return map_.try_emplace(key).second; }
-  bool contains(const Key& key) const { return map_.contains(key); }
-  std::size_t count(const Key& key) const { return map_.count(key); }
-  std::size_t erase(const Key& key) { return map_.erase(key); }
-  std::size_t size() const noexcept { return map_.size(); }
-  bool empty() const noexcept { return map_.empty(); }
-  void clear() { map_.clear(); }
-  void reserve(std::size_t count) { map_.reserve(count); }
-
-  class Iterator {
-   public:
-    Iterator() = default;
-    explicit Iterator(
-        typename FlatMap<Key, Empty, Hash>::const_iterator it)
-        : it_(it) {}
-    const Key& operator*() const { return it_->first; }
-    Iterator& operator++() {
-      ++it_;
-      return *this;
-    }
-    bool operator==(const Iterator& other) const { return it_ == other.it_; }
-
-   private:
-    typename FlatMap<Key, Empty, Hash>::const_iterator it_;
-  };
-
-  Iterator begin() const { return Iterator(map_.begin()); }
-  Iterator end() const { return Iterator(map_.end()); }
-
- private:
-  FlatMap<Key, Empty, Hash> map_;
 };
 
 }  // namespace revtr::util

@@ -118,7 +118,7 @@ TEST(Invariants, FabricatedResultsViolateCatalog) {
   }
   {  // The path must start at the destination.
     auto bad = good;
-    bad.hops.set_source(0, core::HopSource::kRecordRoute);
+    bad.hops[0].source = core::HopSource::kRecordRoute;
     EXPECT_TRUE(
         has_violation(check_result(bad, ctx), InvariantId::kTerminates));
   }

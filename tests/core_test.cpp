@@ -74,6 +74,24 @@ TEST(ExtractReverseHops, NothingWithoutDelimiter) {
 }
 
 // --------------------------------------------------------------------------
+// ReverseTraceroute::ip_hops
+// --------------------------------------------------------------------------
+
+TEST(ReverseTracerouteHops, IpHopsSkipsGapAndKeepsOrder) {
+  const Ipv4Addr d(10, 0, 0, 1);
+  const Ipv4Addr a(10, 0, 0, 2);
+  const Ipv4Addr b(10, 0, 0, 3);
+  const Ipv4Addr s(10, 0, 0, 4);
+  ReverseTraceroute result;
+  result.hops = {ReverseHop{d, HopSource::kDestination},
+                 ReverseHop{a, HopSource::kSpoofedRecordRoute},
+                 ReverseHop{Ipv4Addr{}, HopSource::kSuspiciousGap},
+                 ReverseHop{b, HopSource::kAssumedSymmetric},
+                 ReverseHop{s, HopSource::kAtlasIntersection}};
+  EXPECT_EQ(result.ip_hops(), (std::vector<Ipv4Addr>{d, a, b, s}));
+}
+
+// --------------------------------------------------------------------------
 // Engine end-to-end on the simulated Internet
 // --------------------------------------------------------------------------
 

@@ -1,13 +1,10 @@
-// Tests for util::FlatMap / util::FlatSet (src/util/flat_map.h).
+// Tests for util::FlatMap (src/util/flat_map.h).
 //
 // The interesting behaviour is all in the open-addressing machinery:
 // backward-shift erase must keep every surviving probe chain reachable, and
-// the narrowed iterator contract (erase(it) resumes at the revalidated slot,
-// with a documented revisit exception for clusters that wrap the end of the
-// array) is pinned here with an identity hash so the slot layout is exact.
+// every operation must agree with a std::unordered_map oracle.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
@@ -18,15 +15,6 @@
 
 namespace revtr::util {
 namespace {
-
-// Identity hash: home slot == key & (capacity - 1). Lets tests construct
-// exact probe clusters (including wrap-around) instead of hoping splitmix64
-// collides.
-struct IdentityHash {
-  std::size_t operator()(std::uint64_t key) const noexcept {
-    return static_cast<std::size_t>(key);
-  }
-};
 
 // Degenerate hash: every key lands in one of four home slots, so every table
 // is a handful of long probe clusters. Worst case for backward-shift erase.
@@ -259,122 +247,6 @@ TEST(FlatMap, RandomizedOpsMatchUnorderedMapOracle) {
       ASSERT_EQ(walked, oracle.size());
     }
   }
-}
-
-// --------------------------------------------------------------------------
-// Iterator contract
-// --------------------------------------------------------------------------
-
-TEST(FlatMap, EraseIteratorReturnsBackwardShiftedSuccessor) {
-  // Identity hash, capacity 16 (reserve(8) rounds up to 16 slots): keys 2
-  // and 18 share home slot 2, key 3 homes at 3. Layout after inserts:
-  //   slot2=2, slot3=18 (probed past 2), slot4=3 (probed past 18).
-  // Erasing key 2 backward-shifts 18 into slot 2 and 3 into slot 3, so the
-  // iterator returned for the erased slot must see key 18 — resuming there
-  // skips nothing.
-  FlatMap<std::uint64_t, int, IdentityHash> map;
-  map.reserve(8);
-  map.try_emplace(2, 200);
-  map.try_emplace(18, 1800);
-  map.try_emplace(3, 300);
-
-  auto it = map.find(2);
-  ASSERT_NE(it, map.end());
-  it = map.erase(it);
-  ASSERT_NE(it, map.end());
-  EXPECT_EQ(it->first, 18u);
-  EXPECT_EQ(it->second, 1800);
-  ++it;
-  ASSERT_NE(it, map.end());
-  EXPECT_EQ(it->first, 3u);
-  ++it;
-  EXPECT_EQ(it, map.end());
-  EXPECT_EQ(map.size(), 2u);
-}
-
-TEST(FlatMap, EraseIteratorWrapAroundClusterRevisits) {
-  // The documented exception: a cluster wrapping the array end. Keys 15 and
-  // 31 both home at slot 15 of a 16-slot table; 31 wraps to slot 0.
-  // Iteration meets 31 first (slot 0), then 15 (slot 15). Erasing 15 shifts
-  // 31 from slot 0 back to slot 15 — the revalidated iterator therefore
-  // yields 31 a SECOND time. Pin it so a future rewrite that silently
-  // changes the contract (either fixing or worsening it) is caught.
-  FlatMap<std::uint64_t, int, IdentityHash> map;
-  map.reserve(8);
-  map.try_emplace(15, 150);
-  map.try_emplace(31, 310);
-
-  auto it = map.begin();
-  ASSERT_NE(it, map.end());
-  EXPECT_EQ(it->first, 31u);  // slot 0, wrapped out of its home cluster
-  ++it;
-  ASSERT_NE(it, map.end());
-  EXPECT_EQ(it->first, 15u);  // slot 15
-  it = map.erase(it);
-  ASSERT_NE(it, map.end());
-  EXPECT_EQ(it->first, 31u);  // revisit: 31 moved into the erased slot
-  ++it;
-  EXPECT_EQ(it, map.end());
-  EXPECT_EQ(map.size(), 1u);
-  EXPECT_TRUE(map.contains(31));
-}
-
-TEST(FlatMap, EraseWhileIteratingVisitsEverySurvivor) {
-  // The erase-while-iterating pattern the contract promises: drop every even
-  // key in one pass. Revisits are allowed (wrap-around), skips are not —
-  // every odd key must be seen at least once and every even key erased.
-  FlatMap<std::uint64_t, int> map;
-  constexpr std::uint64_t kCount = 1000;
-  for (std::uint64_t k = 0; k < kCount; ++k) {
-    map.try_emplace(k, static_cast<int>(k));
-  }
-  std::vector<int> seen(kCount, 0);
-  for (auto it = map.begin(); it != map.end();) {
-    ++seen[it->first];
-    if (it->first % 2 == 0) {
-      it = map.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  EXPECT_EQ(map.size(), kCount / 2);
-  for (std::uint64_t k = 0; k < kCount; ++k) {
-    EXPECT_GE(seen[k], 1) << "key never visited: " << k;
-    EXPECT_EQ(map.contains(k), k % 2 == 1) << k;
-  }
-}
-
-// --------------------------------------------------------------------------
-// FlatSet
-// --------------------------------------------------------------------------
-
-TEST(FlatSet, InsertEraseContains) {
-  FlatSet<std::uint64_t> set;
-  EXPECT_TRUE(set.empty());
-  EXPECT_TRUE(set.insert(5));
-  EXPECT_FALSE(set.insert(5));  // duplicate
-  EXPECT_TRUE(set.insert(6));
-  EXPECT_EQ(set.size(), 2u);
-  EXPECT_TRUE(set.contains(5));
-  EXPECT_EQ(set.count(6), 1u);
-  EXPECT_FALSE(set.contains(7));
-  EXPECT_EQ(set.erase(5), 1u);
-  EXPECT_EQ(set.erase(5), 0u);
-  EXPECT_FALSE(set.contains(5));
-  EXPECT_EQ(set.size(), 1u);
-  set.clear();
-  EXPECT_TRUE(set.empty());
-}
-
-TEST(FlatSet, IterationYieldsEachKeyOnce) {
-  FlatSet<std::uint64_t> set;
-  set.reserve(300);
-  for (std::uint64_t k = 0; k < 300; ++k) EXPECT_TRUE(set.insert(k * 7));
-  std::vector<std::uint64_t> keys;
-  for (const std::uint64_t key : set) keys.push_back(key);
-  std::sort(keys.begin(), keys.end());
-  ASSERT_EQ(keys.size(), 300u);
-  for (std::uint64_t k = 0; k < 300; ++k) EXPECT_EQ(keys[k], k * 7);
 }
 
 }  // namespace

@@ -82,9 +82,8 @@ TEST_F(SerializeFixture, RoundTripPreservesEverything) {
 }
 
 // Pins the wire format byte-for-byte: key order (std::map), compact
-// separators, hop encoding (gap hops omit "addr"), and flag spelling. The
-// SoA hop storage (core::HopList) sits behind this format — any layout
-// change that altered serialization would shift these bytes.
+// separators, hop encoding (gap hops omit "addr"), and flag spelling. Any
+// change to hop storage that altered serialization would shift these bytes.
 TEST_F(SerializeFixture, GoldenWireFormatIsByteStable) {
   core::ReverseTraceroute r;
   r.destination = lab_->topo.probe_hosts()[0];
