@@ -6,6 +6,11 @@
 // Paper result: revtr 2.0 sends 26% as many probes as revtr 1.0 (73K vs
 // 275K for 8,093 reverse traceroutes), with the VP-selection technique
 // contributing most of the savings.
+//
+// Writes BENCH_table4_packets.json (bench::write_bench_artifact): packets by
+// type per configuration, the total, and its ratio to revtr 1.0. Packet
+// counts are deterministic for a given set of flags, so unlike the timing
+// artifacts they compare exactly across runs and machines.
 #include <cstdio>
 
 #include "ablation.h"
@@ -44,6 +49,26 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.render().c_str());
 
+  util::Json configurations = util::Json::array();
+  for (const auto& result : results) {
+    const auto& c = result.online;
+    util::Json row = util::Json::object();
+    row["configuration"] = result.label;
+    row["ping"] = c.ping;
+    row["rr"] = c.rr;
+    row["spoofed_rr"] = c.spoofed_rr;
+    row["ts"] = c.ts;
+    row["spoofed_ts"] = c.spoofed_ts;
+    row["traceroute_packets"] = c.traceroute_packets;
+    row["traceroutes"] = c.traceroutes;
+    row["total"] = c.total();
+    row["ratio_to_revtr1"] =
+        baseline == 0 ? 0.0 : static_cast<double>(c.total()) / baseline;
+    row["attempted"] = static_cast<std::uint64_t>(result.attempted);
+    row["coverage"] = result.coverage();
+    configurations.push_back(std::move(row));
+  }
+
   // Mean spoofed-RR probes per measured path (Insight 1.8: 9 vs 29).
   util::TextTable rr_table(
       {"Configuration", "mean spoofed RR / path", "coverage"});
@@ -60,5 +85,27 @@ int main(int argc, char** argv) {
   std::printf(
       "paper: revtr 2.0 sends ~26%% of revtr 1.0's probes; ingress-based\n"
       "VP selection contributes the largest share of the savings.\n");
+
+  // The top level repeats the headline (first = revtr 1.0, last = revtr
+  // 2.0) so the check.sh schema smoke can read it without JSON tooling.
+  util::Json config = util::Json::object();
+  config["ases"] = static_cast<std::uint64_t>(setup.topo.num_ases);
+  config["vps"] = static_cast<std::uint64_t>(setup.topo.num_vps);
+  config["probes"] = static_cast<std::uint64_t>(setup.topo.num_probe_hosts);
+  config["revtrs"] = static_cast<std::uint64_t>(setup.revtrs);
+  config["atlas"] = static_cast<std::uint64_t>(setup.atlas_size);
+  config["sources"] = static_cast<std::uint64_t>(setup.sources);
+  config["seed"] = setup.seed;
+  const auto& revtr2 = results.back().online;
+  util::Json out = util::Json::object();
+  out["config"] = std::move(config);
+  out["configurations"] = std::move(configurations);
+  out["revtr1_total"] = results.front().online.total();
+  out["revtr2_total"] = revtr2.total();
+  out["revtr2_traceroute_packets"] = revtr2.traceroute_packets;
+  out["revtr2_ratio_to_revtr1"] =
+      baseline == 0 ? 0.0 : static_cast<double>(revtr2.total()) / baseline;
+  out["peak_rss_bytes"] = static_cast<double>(bench::peak_rss_bytes());
+  bench::write_bench_artifact("table4_packets", out);
   return 0;
 }

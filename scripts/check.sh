@@ -118,7 +118,7 @@ require_bench_fields() {
 bench_smoke() {
     echo "==> [default] bench artifact smoke (BENCH_*.json schemas)"
     rm -f build/BENCH_parallel_campaign.json build/BENCH_throughput.json \
-          build/BENCH_micro_net.json
+          build/BENCH_micro_net.json build/BENCH_table4_packets.json
     REVTR_BENCH_DIR=build ./build/bench/bench_parallel_campaign \
         --ases=150 --vps=8 --probes=60 --revtrs=24 --pacing=0 \
         --dup-revtrs=48 --overhead-reps=1 --overhead-revtrs=200 >/dev/null
@@ -130,6 +130,12 @@ bench_smoke() {
         --ases=150 --vps=8 --probes=60 --revtrs=20 >/dev/null
     require_bench_fields build/BENCH_throughput.json \
         effective_per_second revtrs_per_day speedup peak_rss_bytes
+    REVTR_BENCH_DIR=build ./build/bench/bench_table4_packets \
+        --ases=150 --vps=8 --probes=60 --revtrs=24 >/dev/null
+    require_bench_fields build/BENCH_table4_packets.json \
+        revtr1_total revtr2_total revtr2_traceroute_packets \
+        revtr2_ratio_to_revtr1 traceroute_packets ratio_to_revtr1 \
+        peak_rss_bytes
     REVTR_BENCH_DIR=build ./build/bench/bench_micro_net \
         --benchmark_filter='BM_PacketEncode|BM_PrefixTrieLookup' \
         --benchmark_min_time=0.01 >/dev/null

@@ -1,5 +1,7 @@
 #include "probing/prober.h"
 
+#include <algorithm>
+#include <array>
 #include <limits>
 
 #include "util/check.h"
@@ -237,48 +239,87 @@ TsProbeResult Prober::ts_ping(topology::HostId from, Ipv4Addr target,
   return out;
 }
 
+TraceStop Prober::full_walk(const TtlProbe& probe) {
+  int silent_run = 0;
+  for (int ttl = 1; ttl <= kMaxTracerouteTtl; ++ttl) {
+    const TtlReply reply = probe(ttl);
+    if (reply == TtlReply::kEcho) return {ttl, true};
+    silent_run = reply == TtlReply::kSilent ? silent_run + 1 : 0;
+    // Three consecutive silent hops usually mean the trace is going
+    // nowhere; real tools stop too rather than burn 30 more probes.
+    if (silent_run == 3) return {ttl, false};
+  }
+  return {kMaxTracerouteTtl, false};
+}
+
+TraceStop Prober::targeted_walk(const TtlProbe& probe) {
+  std::array<std::optional<TtlReply>, kMaxTracerouteTtl + 1> seen{};
+  const auto at = [&](int ttl) {
+    if (!seen[ttl]) seen[ttl] = probe(ttl);
+    return *seen[ttl];
+  };
+  int r = 0;  // Last TTL known to answer with a hop; 0 is the source.
+  while (r < kMaxTracerouteTtl) {
+    const int t = std::min(r + 3, kMaxTracerouteTtl);
+    // Down from t to the first TTL that answers at all.
+    int u = t;
+    while (u > r && at(u) == TtlReply::kSilent) --u;
+    // r+1..t silent: three silent TTLs, or the cap with fewer left.
+    if (u == r) return {t, false};
+    if (at(u) == TtlReply::kHop) {
+      r = u;
+      continue;
+    }
+    // The target answered at u, so it is the first echo in r+1..u. No
+    // three silent TTLs fit between the hop at r and the echo.
+    int d = r + 1;
+    while (at(d) != TtlReply::kEcho) ++d;
+    return {d, true};
+  }
+  return {kMaxTracerouteTtl, false};
+}
+
 TracerouteResult Prober::traceroute(topology::HostId from, Ipv4Addr target) {
+  return trace(from, target, &Prober::full_walk);
+}
+
+TracerouteResult Prober::targeted_trace(topology::HostId from,
+                                        Ipv4Addr target) {
+  return trace(from, target, &Prober::targeted_walk);
+}
+
+TracerouteResult Prober::trace(topology::HostId from, Ipv4Addr target,
+                               TraceStop (*walk)(const TtlProbe&)) {
   charge_traceroute_head();
-  const auto& sender = topo().host(from);
-  TracerouteResult out;
+  const Ipv4Addr src = topo().host(from).addr;
   // Paris flow id: constant across TTLs so per-flow load balancers keep the
   // probes on one path, and a pure function of the endpoints so re-tracing a
   // flow takes the *same* path regardless of how many probes any prober sent
   // before — probe outcomes must be content-addressed for the shared caches
   // of a parallel campaign to be transparent (DESIGN.md §8).
   const auto flow_id = util::truncate_cast<std::uint16_t>(
-      util::mix_hash(sender.addr.value(), target.value(), 0x7aceULL));
+      util::mix_hash(src.value(), target.value(), 0x7aceULL));
+  TracerouteResult out;
   std::uint64_t packets = 0;
-  for (int ttl = 1; ttl <= kMaxTracerouteTtl; ++ttl) {
+  const TraceStop stop = walk([&](int ttl) {
     charge(ProbeType::kTraceroute);
     ++packets;
-    Packet probe = net::make_echo_request(sender.addr, target, flow_id, 7,
+    Packet probe = net::make_echo_request(src, target, flow_id, 7,
                                           static_cast<std::uint8_t>(ttl));
     const auto result = network_.send(probe, from);
-    TracerouteHop hop;
-    if (result.answered()) {
-      hop.addr = result.reply->src;
-      hop.rtt_us = result.rtt_us;
-      out.duration_us += result.rtt_us;
-    } else {
+    const auto index = static_cast<std::size_t>(ttl - 1);
+    if (out.hops.size() <= index) out.hops.resize(index + 1);
+    if (!result.answered()) {
       out.duration_us += kProbeTimeoutUs;
+      return TtlReply::kSilent;
     }
-    out.hops.push_back(hop);
-    if (result.answered() &&
-        result.reply->type == net::IcmpType::kEchoReply) {
-      out.reached = true;
-      break;
-    }
-    // Three consecutive silent hops usually mean the trace is going
-    // nowhere; real tools stop too rather than burn 30 more probes.
-    if (out.hops.size() >= 3) {
-      const auto n = out.hops.size();
-      if (!out.hops[n - 1].addr && !out.hops[n - 2].addr &&
-          !out.hops[n - 3].addr) {
-        break;
-      }
-    }
-  }
+    out.hops[index] = TracerouteHop{result.reply->src, result.rtt_us};
+    out.duration_us += result.rtt_us;
+    return result.reply->type == net::IcmpType::kEchoReply ? TtlReply::kEcho
+                                                           : TtlReply::kHop;
+  });
+  out.hops.resize(static_cast<std::size_t>(stop.ttl));
+  out.reached = stop.reached;
   if (observer_ != nullptr) {
     ProbeEvent event;
     event.type = ProbeType::kTraceroute;

@@ -34,7 +34,7 @@ enum class ProbeType : std::uint8_t {
   kSpoofedRecordRoute,
   kTimestamp,
   kSpoofedTimestamp,
-  kTraceroute,  // Counted per packet (one per TTL tried).
+  kTraceroute,  // Counted per packet (one per TTL probed).
 };
 
 std::string to_string(ProbeType type);
@@ -131,22 +131,42 @@ struct TsProbeResult {
 };
 
 struct TracerouteHop {
-  std::optional<net::Ipv4Addr> addr;  // nullopt = "*" (no reply).
+  // nullopt = "*": no reply, or (targeted_trace) a TTL the walk never
+  // probed. The two read alike on the spec path (execute_spec).
+  std::optional<net::Ipv4Addr> addr;
   util::SimClock::Micros rtt_us = 0;
 
   bool operator==(const TracerouteHop&) const = default;
 };
 
 struct TracerouteResult {
-  std::vector<TracerouteHop> hops;
+  std::vector<TracerouteHop> hops;  // hops[i] is TTL i + 1, up to the stop.
   bool reached = false;  // Destination answered the final probe.
-  util::SimClock::Micros duration_us = 0;
+  util::SimClock::Micros duration_us = 0;  // Summed over the probes sent.
 
   bool operator==(const TracerouteResult&) const = default;
 
   // Responsive hop addresses in order (skipping "*").
   std::vector<net::Ipv4Addr> responsive_hops() const;
 };
+
+// How one TTL-limited probe was answered.
+enum class TtlReply : std::uint8_t {
+  kSilent,  // No reply ("*").
+  kHop,     // A router on the way (time exceeded, or any other ICMP error).
+  kEcho,    // The target itself: the trace reached it.
+};
+
+// Where a TTL walk stops: the trace reports hops for TTLs 1..ttl.
+struct TraceStop {
+  int ttl = 0;
+  bool reached = false;
+
+  bool operator==(const TraceStop&) const = default;
+};
+
+// Sends (or looks up) the probe for one TTL in 1..Prober::kMaxTracerouteTtl.
+using TtlProbe = std::function<TtlReply(int ttl)>;
 
 class Prober {
  public:
@@ -170,8 +190,31 @@ class Prober {
                         std::optional<net::Ipv4Addr> spoof_as = std::nullopt);
 
   // Paris traceroute: constant flow identifiers across TTLs so per-flow
-  // load balancers keep the probes on one path (Appx E).
+  // load balancers keep the probes on one path (Appx E). Walks TTL 1, 2, ...
+  // (full_walk) and records every hop.
   TracerouteResult traceroute(topology::HostId from, net::Ipv4Addr target);
+
+  // The same Paris trace, probing only the TTLs that decide where the full
+  // walk stops, whether it reached `target`, and the last responsive hop
+  // before the stop (targeted_walk). At loss 0 those equal traceroute()'s
+  // (DESIGN.md §16); hops it did not probe read nullopt. It sends at most
+  // one packet more than the full walk (a look-ahead TTL past a near
+  // target) and usually about half. The symmetry step (execute_spec)
+  // issues this one.
+  TracerouteResult targeted_trace(topology::HostId from,
+                                  net::Ipv4Addr target);
+
+  // The two walks, apart from the wire. `probe` is called at most once per
+  // TTL. full_walk probes TTL 1, 2, ... until the target answers, three
+  // consecutive TTLs are silent, or kMaxTracerouteTtl. targeted_walk keeps
+  // r, the last TTL known to answer (0 = the source), and probes r + 3
+  // (capped): a hop there moves r; an echo means the target is the first
+  // echo in r+1..r+3, probed upward; silence is probed downward to r + 1,
+  // and three silent TTLs are the full walk's stop. When each TTL's reply
+  // is a function of the TTL alone with echoes from some TTL d on (loss 0,
+  // content-addressed paths), both return the same TraceStop.
+  static TraceStop full_walk(const TtlProbe& probe);
+  static TraceStop targeted_walk(const TtlProbe& probe);
 
   const ProbeCounters& counters() const noexcept { return counters_; }
   void reset_counters() {
@@ -220,6 +263,10 @@ class Prober {
   bool offline() const noexcept { return offline_depth_ > 0; }
   void charge(ProbeType type);
   void charge_traceroute_head();
+  // One Paris trace along `walk`: the single per-TTL send path of both
+  // traceroute() and targeted_trace(), with their charging and event.
+  TracerouteResult trace(topology::HostId from, net::Ipv4Addr target,
+                         TraceStop (*walk)(const TtlProbe&));
   // Consults the fault policy; on a drop marks the event suppressed.
   bool vetoed(ProbeEvent& event);
   void notify(const ProbeEvent& event) {

@@ -34,12 +34,15 @@ ProbeReply execute_spec(Prober& prober, const ProbeSpec& spec) {
       break;
     }
     case ProbeType::kTraceroute: {
-      auto result = prober.traceroute(spec.from, spec.target);
+      // The symmetry step reads only what the targeted walk decides, so
+      // the spec path never pays for the full walk (DESIGN.md §16).
+      const auto sent = prober.counters().traceroute_packets;
+      auto result = prober.targeted_trace(spec.from, spec.target);
       reply.responded = result.reached;
       reply.duration_us = result.duration_us;
-      // One wire packet per TTL tried (the Prober charges exactly one
-      // traceroute packet per recorded hop).
-      reply.packets = result.hops.size();
+      // One wire packet per TTL probed: not hops.size(), since the walk
+      // skips TTLs and may probe one past the target.
+      reply.packets = prober.counters().traceroute_packets - sent;
       reply.traceroute = std::move(result);
       break;
     }

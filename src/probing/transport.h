@@ -49,7 +49,8 @@ struct ProbeReply {
   std::vector<bool> stamped;         // TS stamps observed.
   TracerouteResult traceroute;
   util::SimClock::Micros duration_us = 0;
-  // Wire packets this reply cost (traceroute: one per TTL tried).
+  // Wire packets this reply cost (traceroute: one per TTL probed, which is
+  // not traceroute.hops.size() on the targeted walk).
   std::uint64_t packets = 0;
 
   bool operator==(const ProbeReply&) const = default;

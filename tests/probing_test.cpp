@@ -2,6 +2,9 @@
 #include <memory>
 
 #include <algorithm>
+#include <array>
+#include <optional>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -11,6 +14,7 @@
 #include "routing/forwarding.h"
 #include "sim/network.h"
 #include "topology/builder.h"
+#include "util/rng.h"
 
 namespace revtr::probing {
 namespace {
@@ -322,6 +326,328 @@ TEST_F(ProbingFixture, DefaultExecuteBatchMatchesSequentialRrPings) {
         << "event " << i;
   }
   EXPECT_TRUE(batch_log.events[3].suppressed);
+}
+
+// What the symmetry step reads from a trace (RequestTask::on_symmetry):
+// where it stops, whether it reached the target, and the last responsive
+// hop before the final hop (reached) or of the whole trace (unreached).
+struct TraceVerdict {
+  bool reached = false;
+  std::size_t size = 0;
+  std::optional<net::Ipv4Addr> last_responsive;
+
+  bool operator==(const TraceVerdict&) const = default;
+};
+
+TraceVerdict verdict_of(const TracerouteResult& trace) {
+  TraceVerdict verdict{trace.reached, trace.hops.size(), std::nullopt};
+  std::size_t end = trace.hops.size();
+  if (trace.reached && end > 0) --end;
+  for (std::size_t i = end; i-- > 0;) {
+    if (trace.hops[i].addr) {
+      verdict.last_responsive = trace.hops[i].addr;
+      break;
+    }
+  }
+  return verdict;
+}
+
+// Tallies of the full walk's outcomes, so the sweep shows which branches it
+// exercised.
+struct SweepTally {
+  std::size_t traces = 0;
+  std::uint64_t full_packets = 0;
+  std::uint64_t targeted_packets = 0;
+  std::size_t three_silent = 0;       // Unreached before the TTL cap.
+  std::size_t target_at_ttl1 = 0;     // Penultimate is the source.
+  std::size_t silent_then_ttl2 = 0;   // Penultimate is nullopt.
+
+  SweepTally& operator+=(const SweepTally& other) {
+    traces += other.traces;
+    full_packets += other.full_packets;
+    targeted_packets += other.targeted_packets;
+    three_silent += other.three_silent;
+    target_at_ttl1 += other.target_at_ttl1;
+    silent_then_ttl2 += other.silent_then_ttl2;
+    return *this;
+  }
+};
+
+// Traces every VP to every `stride`-th probe host and host, then to every
+// responsive hop those traces revealed, with the full walk on one network
+// and the spec path (targeted walk) on a twin with the same seed, loss 0.
+SweepTally sweep_targeted_against_full(const Topology& topo,
+                                       const routing::ForwardingPlane& plane,
+                                       std::uint64_t seed,
+                                       std::size_t stride) {
+  sim::Network full_net(topo, plane, seed);
+  sim::Network targeted_net(topo, plane, seed);
+  Prober full(full_net);
+  Prober targeted(targeted_net);
+  EventLog log;
+  targeted.set_observer(&log);
+  SweepTally tally;
+  const auto check = [&](HostId vp, net::Ipv4Addr target) {
+    const auto expected = full.traceroute(vp, target);
+    const auto sent = targeted.counters().traceroute_packets;
+    log.events.clear();
+    const auto reply = execute_spec(
+        targeted, ProbeSpec{ProbeType::kTraceroute, vp, target, {}, {}});
+    const auto& got = reply.traceroute;
+    const std::string where =
+        "vp " + std::to_string(vp) + " -> " + target.to_string();
+    EXPECT_TRUE(verdict_of(got) == verdict_of(expected)) << where;
+    EXPECT_EQ(reply.responded, expected.reached) << where;
+    // Every TTL it probed answered as in the full walk.
+    const auto common = std::min(got.hops.size(), expected.hops.size());
+    for (std::size_t i = 0; i < common; ++i) {
+      if (got.hops[i].addr) {
+        EXPECT_EQ(got.hops[i], expected.hops[i]) << where;
+      }
+    }
+    // Charged exactly what it sent, in the counters and the event alike.
+    EXPECT_EQ(reply.packets, targeted.counters().traceroute_packets - sent)
+        << where;
+    EXPECT_EQ(log.events.size(), 1u) << where;
+    if (!log.events.empty()) {
+      EXPECT_EQ(log.events[0].packets, reply.packets) << where;
+      EXPECT_EQ(log.events[0].tr_reached, expected.reached) << where;
+    }
+    // It probes TTLs up to the stop and, when it reached the target, at
+    // most one look-ahead TTL past it: at most one packet more than the
+    // full walk, and only where it had to probe every TTL to the target.
+    const auto size = expected.hops.size();
+    EXPECT_LE(reply.packets, size + (expected.reached ? 1 : 0)) << where;
+    ++tally.traces;
+    tally.full_packets += size;
+    tally.targeted_packets += reply.packets;
+    if (!expected.reached &&
+        size < static_cast<std::size_t>(Prober::kMaxTracerouteTtl)) {
+      ++tally.three_silent;
+    }
+    if (expected.reached && size == 1) ++tally.target_at_ttl1;
+    if (expected.reached && size == 2 && !expected.hops[0].addr) {
+      ++tally.silent_then_ttl2;
+    }
+    return expected;
+  };
+  std::vector<net::Ipv4Addr> targets;
+  for (std::size_t i = 0; i < topo.probe_hosts().size(); i += stride) {
+    targets.push_back(topo.host(topo.probe_hosts()[i]).addr);
+  }
+  for (std::size_t i = 0; i < topo.hosts().size(); i += stride) {
+    targets.push_back(topo.hosts()[i].addr);
+  }
+  for (const auto vp : topo.vantage_points()) {
+    std::vector<net::Ipv4Addr> hops;
+    for (const auto target : targets) {
+      const auto trace = check(vp, target);
+      for (const auto addr : trace.responsive_hops()) hops.push_back(addr);
+    }
+    std::sort(hops.begin(), hops.end());
+    hops.erase(std::unique(hops.begin(), hops.end()), hops.end());
+    for (const auto hop : hops) check(vp, hop);
+  }
+  return tally;
+}
+
+TEST_F(ProbingFixture, TargetedTraceMatchesFullTrace) {
+  // The spec path's targeted walk must give the symmetry step the same
+  // answer as a full Paris traceroute: at loss 0 every TTL probe is a pure
+  // function of (source, target, TTL). A second world with a quarter of
+  // its routers traceroute-silent exercises the silent branches harder.
+  SweepTally tally = sweep_targeted_against_full(*topo_, *plane_, 5, 3);
+  TopologyConfig sparse = small_config();
+  sparse.seed = 34;
+  sparse.router_ttl_responsive = 0.75;
+  const auto topo = TopologyBuilder::build(sparse);
+  const routing::BgpTable bgp(topo);
+  const routing::IntraRouting intra(topo);
+  const routing::ForwardingPlane plane(topo, bgp, intra);
+  tally += sweep_targeted_against_full(topo, plane, 9, 3);
+
+  // The sweep reached every branch the network can produce (the TTL cap
+  // needs a 40-hop path: TtlWalk.CapsAtTtl40 covers it).
+  EXPECT_GT(tally.three_silent, 0u);
+  EXPECT_GT(tally.target_at_ttl1, 0u);
+  EXPECT_GT(tally.silent_then_ttl2, 0u);
+  // And it pays: well under the full walk's packets.
+  EXPECT_LT(tally.targeted_packets * 4, tally.full_packets * 3)
+      << tally.targeted_packets << " vs " << tally.full_packets;
+}
+
+// A loss-free path as a TTL walk sees it: TTL i + 1 is answered by a router
+// when answers[i] (TTLs past the vector are silent), and the target answers
+// every TTL from target_ttl on (0 = never). Records the TTLs probed.
+struct SyntheticPath {
+  std::vector<bool> answers;
+  int target_ttl = 0;
+  std::vector<int> probed;
+
+  TtlProbe probe() {
+    return [this](int ttl) {
+      probed.push_back(ttl);
+      if (target_ttl > 0 && ttl >= target_ttl) return TtlReply::kEcho;
+      const auto i = static_cast<std::size_t>(ttl - 1);
+      return i < answers.size() && answers[i] ? TtlReply::kHop
+                                              : TtlReply::kSilent;
+    };
+  }
+
+  // The last router-answered TTL the symmetry step would read at `stop`:
+  // before the final hop when reached, up to it otherwise; 0 = none.
+  int last_answer_before(const TraceStop& stop) const {
+    const int end = stop.reached ? stop.ttl - 1 : stop.ttl;
+    for (int ttl = end; ttl > 0; --ttl) {
+      const auto i = static_cast<std::size_t>(ttl - 1);
+      if (i < answers.size() && answers[i] &&
+          (target_ttl == 0 || ttl < target_ttl)) {
+        return ttl;
+      }
+    }
+    return 0;
+  }
+};
+
+struct WalkPair {
+  TraceStop full;
+  TraceStop targeted;
+  std::vector<int> full_probed;
+  std::vector<int> targeted_probed;
+  int last_answer = 0;
+};
+
+WalkPair run_both_walks(std::vector<bool> answers, int target_ttl) {
+  SyntheticPath full{answers, target_ttl, {}};
+  SyntheticPath targeted{std::move(answers), target_ttl, {}};
+  WalkPair pair;
+  pair.full = Prober::full_walk(full.probe());
+  pair.targeted = Prober::targeted_walk(targeted.probe());
+  pair.full_probed = std::move(full.probed);
+  pair.targeted_probed = std::move(targeted.probed);
+  pair.last_answer = targeted.last_answer_before(pair.targeted);
+  return pair;
+}
+
+// The targeted walk's contract on one path: the full walk's stop, each TTL
+// probed once, and the hop the symmetry step reads among those probed.
+void expect_targeted_contract(const WalkPair& pair, const std::string& where) {
+  EXPECT_TRUE(pair.targeted == pair.full)
+      << where << ": targeted stop " << pair.targeted.ttl << "/"
+      << pair.targeted.reached << ", full " << pair.full.ttl << "/"
+      << pair.full.reached;
+  auto sorted = pair.targeted_probed;
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) ==
+              sorted.end())
+      << where << ": a TTL was probed twice";
+  // Past the stop it probes at most the one TTL whose echo revealed the
+  // target.
+  const auto past = std::count_if(sorted.begin(), sorted.end(),
+                                  [&](int ttl) { return ttl > pair.full.ttl; });
+  EXPECT_LE(past, pair.full.reached ? 1 : 0) << where;
+  if (pair.last_answer > 0) {
+    EXPECT_TRUE(std::binary_search(sorted.begin(), sorted.end(),
+                                   pair.last_answer))
+        << where << ": last responsive TTL " << pair.last_answer
+        << " not probed";
+  }
+}
+
+TEST(TtlWalk, TargetedMatchesFullOnEveryShortPath) {
+  // Every answer pattern over the first 11 TTLs, with the target at every
+  // distance up to one past the pattern, or silent to echoes.
+  for (std::size_t n = 0; n <= 11; ++n) {
+    for (std::uint32_t mask = 0; mask < (1u << n); ++mask) {
+      std::vector<bool> answers(n);
+      for (std::size_t i = 0; i < n; ++i) answers[i] = (mask >> i) & 1u;
+      for (int target = 0; target <= static_cast<int>(n) + 1; ++target) {
+        expect_targeted_contract(
+            run_both_walks(answers, target),
+            "n " + std::to_string(n) + " mask " + std::to_string(mask) +
+                " target " + std::to_string(target));
+      }
+    }
+  }
+}
+
+TEST(TtlWalk, StopsOnThreeSilentTtls) {
+  const auto pair = run_both_walks({true, true, false, false, false, true}, 0);
+  EXPECT_TRUE(pair.full == (TraceStop{5, false}));
+  expect_targeted_contract(pair, "three silent");
+  EXPECT_EQ(pair.last_answer, 2);
+  // 3 (silent), 2 (hop), then 5, 4 (silent): TTL 6 stays unprobed.
+  EXPECT_EQ(pair.targeted_probed, (std::vector<int>{3, 2, 5, 4}));
+}
+
+TEST(TtlWalk, CapsAtTtl40) {
+  const int cap = Prober::kMaxTracerouteTtl;
+  // Answers on every TTL: both walks give up at the cap, unreached.
+  const auto all = run_both_walks(std::vector<bool>(45, true), 0);
+  EXPECT_TRUE(all.full == (TraceStop{cap, false}));
+  expect_targeted_contract(all, "all answer");
+  EXPECT_EQ(all.last_answer, cap);
+  EXPECT_EQ(all.full_probed.size(), static_cast<std::size_t>(cap));
+  EXPECT_LT(all.targeted_probed.size(), all.full_probed.size());
+  // Every tail pattern around the cap, with the target on either side.
+  for (int prefix = cap - 6; prefix <= cap; ++prefix) {
+    for (std::uint32_t mask = 0; mask < 32; ++mask) {
+      std::vector<bool> answers(static_cast<std::size_t>(prefix), true);
+      for (int i = 0; i < 5; ++i) answers.push_back((mask >> i) & 1u);
+      for (const int target : {0, cap - 1, cap, cap + 1}) {
+        expect_targeted_contract(
+            run_both_walks(answers, target),
+            "prefix " + std::to_string(prefix) + " mask " +
+                std::to_string(mask) + " target " + std::to_string(target));
+      }
+    }
+  }
+}
+
+TEST(TtlWalk, TargetAtTtl1) {
+  // The symmetry step's penultimate hop is then the source itself.
+  const auto pair = run_both_walks({}, 1);
+  EXPECT_TRUE(pair.full == (TraceStop{1, true}));
+  expect_targeted_contract(pair, "target at 1");
+  EXPECT_EQ(pair.last_answer, 0);
+  EXPECT_EQ(pair.targeted_probed, (std::vector<int>{3, 1}));
+}
+
+TEST(TtlWalk, SilentFirstHopBeforeTtl2Target) {
+  // No responsive hop before the target: the penultimate hop is nullopt.
+  const auto pair = run_both_walks({false}, 2);
+  EXPECT_TRUE(pair.full == (TraceStop{2, true}));
+  expect_targeted_contract(pair, "silent then target at 2");
+  EXPECT_EQ(pair.last_answer, 0);
+  EXPECT_EQ(pair.targeted_probed, (std::vector<int>{3, 1, 2}));
+}
+
+TEST(TtlWalk, TargetedWalkProbesEachTtlOnceUnderAnyReplies) {
+  // Under loss a TTL's reply need not follow the path: any reply sequence
+  // must still end inside the cap with each TTL probed at most once, and a
+  // reached stop must be a TTL that echoed.
+  util::Rng rng(17);
+  for (int run = 0; run < 2000; ++run) {
+    std::array<TtlReply, Prober::kMaxTracerouteTtl + 1> replies{};
+    for (auto& reply : replies) {
+      reply = static_cast<TtlReply>(rng.below(3));
+    }
+    std::vector<int> probed;
+    const auto stop = Prober::targeted_walk([&](int ttl) {
+      probed.push_back(ttl);
+      return replies[static_cast<std::size_t>(ttl)];
+    });
+    ASSERT_GE(stop.ttl, 1) << "run " << run;
+    ASSERT_LE(stop.ttl, Prober::kMaxTracerouteTtl) << "run " << run;
+    if (stop.reached) {
+      EXPECT_EQ(replies[static_cast<std::size_t>(stop.ttl)], TtlReply::kEcho)
+          << "run " << run;
+    }
+    std::sort(probed.begin(), probed.end());
+    EXPECT_TRUE(std::adjacent_find(probed.begin(), probed.end()) ==
+                probed.end())
+        << "run " << run;
+  }
 }
 
 TEST_F(ProbingFixture, CounterArithmetic) {

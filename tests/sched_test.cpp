@@ -103,8 +103,13 @@ TEST_F(SchedFixture, ExecuteDemandMirrorsProber) {
   trace.type = probing::ProbeType::kTraceroute;
   trace.from = demand.from;
   trace.target = demand.target;
+  const auto sent = lab_->prober.counters().traceroute_packets;
   const auto tr_outcome = execute_demand(lab_->prober, trace);
-  EXPECT_EQ(tr_outcome.packets, tr_outcome.traceroute.hops.size());
+  // The spec path runs the targeted walk: it is charged exactly the TTLs
+  // it probed, never more than the hops it reports.
+  EXPECT_EQ(tr_outcome.packets,
+            lab_->prober.counters().traceroute_packets - sent);
+  EXPECT_LE(tr_outcome.packets, tr_outcome.traceroute.hops.size());
 }
 
 TEST_F(SchedFixture, CoalescesIdenticalInFlightDemands) {
