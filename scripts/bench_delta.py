@@ -6,8 +6,13 @@ Compares every artifact in --fresh against the file of the same name in
 gated; the rest of the shared top-level numeric fields are informational:
 
   requests_per_second   higher is better   fails on a >10% drop
-  probes_per_second     higher is better   fails on a >10% drop
+  probes_per_request    lower is better    fails on a >10% rise
   latency_p99_us        lower is better    fails on a >15% rise
+
+probes_per_request is derived on both sides as probes_per_second /
+requests_per_second, so committed baselines need no new field. Gating
+probes_per_second itself would read a change that spends fewer probes per
+request as a regression; it is reported as information only.
 
 Exit status is non-zero iff any gated metric regressed past its tolerance,
 so `scripts/check.sh` can use the script directly as a gate while
@@ -35,13 +40,14 @@ import sys
 # above baseline*(1+tol).
 GATED = {
     "requests_per_second": ("higher", 0.10),
-    "probes_per_second": ("higher", 0.10),
+    "probes_per_request": ("lower", 0.10),
     "latency_p99_us": ("lower", 0.15),
 }
 
 # Informational fields worth a table row when both sides have them, in
 # display order. Anything else numeric and shared is appended alphabetically.
 PREFERRED_INFO = [
+    "probes_per_second",
     "single_worker_requests_per_second",
     "single_worker_probes_per_second",
     "latency_p50_us",
@@ -55,13 +61,17 @@ PREFERRED_INFO = [
 
 
 def numeric_fields(doc):
-    """Top-level scalar numeric fields (bools excluded)."""
+    """Top-level scalar numeric fields (bools excluded), plus the derived
+    probes_per_request where the artifact reports both rates."""
     out = {}
     for key, value in doc.items():
         if isinstance(value, bool):
             continue
         if isinstance(value, (int, float)) and math.isfinite(value):
             out[key] = float(value)
+    rps = out.get("requests_per_second")
+    if "probes_per_second" in out and rps:
+        out["probes_per_request"] = out["probes_per_second"] / rps
     return out
 
 

@@ -4,7 +4,9 @@
 #   1. default  -Werror with extended warnings (-Wconversion -Wshadow
 #               -Wold-style-cast -Wnon-virtual-dtor), full ctest suite —
 #               includes revtr_lint (with the layering analyzer), the
-#               wire-codec fuzzer, and the revtr_mc model-checker sweep.
+#               wire-codec fuzzer, and the revtr_mc model-checker sweep;
+#               then a deeper revtr_mc sweep at 60 seeds per shape
+#               (40,320 states, a few seconds).
 #   release     Release (-O3) build with -Werror, no tests: optimizer-only
 #               warnings (GCC 12's -Wrestrict) fail here, not in a user's
 #               first Release build.
@@ -157,7 +159,8 @@ bench_smoke() {
     echo "bench smoke: all artifact schemas ok (incl. cwd-independent dir)"
     # Bench-delta gate: the smoke-scale artifacts written above must not
     # regress past tolerance against the committed smoke baselines (>10%
-    # drop in requests/probes per second, >15% rise in latency_p99_us).
+    # drop in requests per second, >10% rise in probes per request, >15%
+    # rise in latency_p99_us).
     # Full-scale baselines are compared advisorily by run_all.sh instead —
     # see README "Bench-delta gate" for the refresh procedure.
     echo "==> [default] bench delta vs bench/baselines/smoke"
@@ -372,6 +375,8 @@ if [ "$QUICK" = "1" ]; then
 fi
 
 run_config default
+echo "==> [default] revtr_mc deep sweep (60 seeds per shape)"
+./build/tools/revtr_mc --seeds 60
 echo "==> [default] lint self-test fixture floor"
 lint_selftest_guard
 obs_smoke
@@ -399,7 +404,7 @@ case "${REVTR_CHECK_TSAN:-1}" in
         echo "==> [tsan] build"
         cmake --build --preset tsan -j "$JOBS"
         echo "==> [tsan] concurrency suite"
-        ctest --preset tsan -R 'ThreadPool|Distribution|StripedMap|ShardedMetrics|ParallelCampaign|Atlas|Ingress|ServerDaemon|AgentSplit|RunnerFrontEnds|WaitForProgress|RiderJoins|ConcurrentPumpers|OfflineJobNever'
+        ctest --preset tsan -R 'ThreadPool|Distribution|StripedMap|ShardedMetrics|ParallelCampaign|Atlas|Ingress|ServerDaemon|AgentSplit|RunnerFrontEnds|WaitForProgress|RiderJoins|ConcurrentPumpers'
         ;;
 esac
 

@@ -69,12 +69,6 @@ void RequestTask::close_stage() {
 
 void RequestTask::charge(const sched::ProbeDemand& demand,
                          const sched::ProbeOutcome& outcome) {
-  if (demand.offline()) {
-    // Background survey packets: Table 4 accounts these separately from the
-    // online budget.
-    result_.offline_probes += outcome.offline_probes;
-    return;
-  }
   if (outcome.coalesced) {
     // Answered by another request's in-flight duplicate: no wire probe was
     // issued for this demand, so it costs the request (and its spans)
@@ -134,7 +128,6 @@ std::span<const sched::ProbeDemand> RequestTask::advance() {
         step_symmetry_emit();
         break;
       case Stage::kRrDirectWait:
-      case Stage::kDiscoveryWait:
       case Stage::kSpoofBatchWait:
       case Stage::kDbrVerifyWait:
       case Stage::kTsDirectWait:
@@ -156,9 +149,6 @@ void RequestTask::supply(std::span<const sched::ProbeOutcome> outcomes) {
   switch (stage_) {
     case Stage::kRrDirectWait:
       on_rr_direct(outcomes);
-      break;
-    case Stage::kDiscoveryWait:
-      on_discovery(outcomes);
       break;
     case Stage::kSpoofBatchWait:
       on_spoof_batch(outcomes);
@@ -303,36 +293,24 @@ void RequestTask::begin_spoofed() {
     stage_ = Stage::kAfterRr;
     return;
   }
-  prefix_ = *prefix;
   if (const auto plan = engine_.ingress_.plan_for(*prefix); plan != nullptr) {
     setup_attempts(*plan);
     return;
   }
-  // Offline background measurement run on demand: neither its time nor its
-  // packets are charged to this request's online budget (Table 4 counts
-  // surveys separately); the outcome reports them in offline_probes.
+  // Offline background measurement run on demand, inline on the thread
+  // that owns this request, which is the only one probing through this
+  // engine's prober: neither its time nor its packets are charged to the
+  // online budget (Table 4 counts surveys separately), so they land in
+  // offline_probes. discover() opens the prober's OfflineScope itself.
   if (metrics() != nullptr) metrics()->rr_ingress_discovery->add();
   open_stage("ingress-discovery");
-  // Runs on whichever worker's pump takes it, never alongside a wire probe
-  // (ProbeScheduler's probe gate): it touches this engine's prober.
-  sched::ProbeDemand demand;
-  demand.offline_work = [this] {
-    const auto before = engine_.prober_.offline_counters();
-    const probing::Prober::OfflineScope offline(engine_.prober_);
-    engine_.ingress_.discover(*prefix_, engine_.topo_.vantage_points(), rng_);
-    return engine_.prober_.offline_counters() - before;
-  };
-  demands_.push_back(std::move(demand));
-  stage_ = Stage::kDiscoveryWait;
-}
-
-void RequestTask::on_discovery(std::span<const sched::ProbeOutcome> outcomes) {
-  charge(consumed_[0], outcomes[0]);
-  annotate_stage("offline_probes",
-                 std::to_string(outcomes[0].offline_probes.total()));
+  const auto before = engine_.prober_.offline_counters();
+  const auto plan = engine_.ingress_.discover(
+      *prefix, engine_.topo_.vantage_points(), rng_);
+  const auto surveyed = engine_.prober_.offline_counters() - before;
+  result_.offline_probes += surveyed;
+  annotate_stage("offline_probes", std::to_string(surveyed.total()));
   close_stage();
-  const auto plan = engine_.ingress_.plan_for(*prefix_);
-  REVTR_CHECK(plan != nullptr);
   setup_attempts(*plan);
 }
 
@@ -691,31 +669,32 @@ bool RequestTask::append_reverse_hops(std::span<const Ipv4Addr> revealed,
 
 void RequestTask::finalize_flags() {
   if (!config().flag_suspicious_links || !result_.complete()) return;
-  const auto addrs = result_.ip_hops();
-  const auto as_path = engine_.ip2as_.as_path(addrs);
+  const auto as_path = engine_.ip2as_.as_path(result_.ip_hops());
   const auto suspicious =
       engine_.relationships_.suspicious_links_in(as_path);
   if (suspicious.empty()) return;
   result_.has_suspicious_gap = true;
-  // Insert a "*" at the IP-level boundary of each suspicious AS pair.
-  for (const std::size_t link : suspicious) {
-    const topology::Asn from_as = as_path[link];
-    const topology::Asn to_as = as_path[link + 1];
-    for (std::size_t h = 0; h + 1 < result_.hops.size(); ++h) {
-      if (result_.hops[h].source == HopSource::kSuspiciousGap ||
-          result_.hops[h + 1].source == HopSource::kSuspiciousGap) {
-        continue;
+  // Insert a "*" where each suspicious AS link is crossed: walk the hops in
+  // step with as_path, which lists the mapped hops' ASes with repeats
+  // collapsed, so link i is crossed at the first mapped hop of
+  // as_path[i + 1]. Unmapped hops (private RR stamps) in between stay on the
+  // near side of the "*", so every flagged link gets one.
+  std::vector<ReverseHop> hops;
+  hops.reserve(result_.hops.size() + suspicious.size());
+  auto next_link = suspicious.begin();
+  std::size_t as_index = 0;
+  for (const ReverseHop& hop : result_.hops) {
+    const auto asn = engine_.ip2as_.lookup(hop.addr);
+    if (asn && *asn != as_path[as_index]) {
+      if (next_link != suspicious.end() && *next_link == as_index) {
+        hops.push_back(ReverseHop{Ipv4Addr{}, HopSource::kSuspiciousGap});
+        ++next_link;
       }
-      const auto a = engine_.ip2as_.lookup(result_.hops[h].addr);
-      const auto b = engine_.ip2as_.lookup(result_.hops[h + 1].addr);
-      if (a && b && *a == from_as && *b == to_as) {
-        result_.hops.insert(
-            result_.hops.begin() + static_cast<std::ptrdiff_t>(h + 1),
-            ReverseHop{Ipv4Addr{}, HopSource::kSuspiciousGap});
-        break;
-      }
+      ++as_index;
     }
+    hops.push_back(hop);
   }
+  result_.hops = std::move(hops);
 }
 
 void RequestTask::finish() {

@@ -75,11 +75,8 @@ class RequestTask {
     // Source check, atlas intersect, RR cache/direct.
     // lint: stage(kLoopHead -> kLoopHead, kRrDirectWait, kAfterRr, kDone)
     kLoopHead,
-    // lint: stage(kRrDirectWait -> kLoopHead, kAfterRr, kDiscoveryWait, kSpoofEmit)
+    // lint: stage(kRrDirectWait -> kLoopHead, kAfterRr, kSpoofEmit)
     kRrDirectWait,
-    // On-demand ingress survey (offline).
-    // lint: stage(kDiscoveryWait -> kSpoofEmit)
-    kDiscoveryWait,
     // Build the next spoofed-RR batch.
     // lint: stage(kSpoofEmit -> kSpoofEmit, kSpoofBatchWait, kAfterRr)
     kSpoofEmit,
@@ -127,7 +124,6 @@ class RequestTask {
 
   // Outcome consumers (supply side).
   void on_rr_direct(std::span<const sched::ProbeOutcome> outcomes);
-  void on_discovery(std::span<const sched::ProbeOutcome> outcomes);
   void on_spoof_batch(std::span<const sched::ProbeOutcome> outcomes);
   void on_dbr_verify(std::span<const sched::ProbeOutcome> outcomes);
   void on_ts_direct(std::span<const sched::ProbeOutcome> outcomes);
@@ -146,8 +142,7 @@ class RequestTask {
   void finish();
 
   // Probe-cost accounting: issued packets charge the request and the open
-  // stage span; coalesced outcomes count only coalesced_probes; offline
-  // outcomes accumulate offline_probes.
+  // stage span; coalesced outcomes count only coalesced_probes.
   void charge(const sched::ProbeDemand& demand,
               const sched::ProbeOutcome& outcome);
 
@@ -194,7 +189,6 @@ class RequestTask {
 
   // RR technique state.
   std::uint64_t rr_key_ = 0;
-  std::optional<topology::PrefixId> prefix_;
   std::size_t next_attempt_ = 0;
   util::FlatMap<std::size_t, int> rank_failures_;
 

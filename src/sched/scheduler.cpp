@@ -25,7 +25,6 @@ std::uint64_t hash_addr_list(std::uint64_t seed,
 }  // namespace
 
 std::uint64_t ProbeDemand::coalesce_key() const {
-  if (offline()) return 0;  // Offline jobs are never coalesced.
   std::uint64_t h = util::mix_hash(static_cast<std::uint64_t>(type), from,
                                    target.value());
   h = util::mix_hash(h, spoof_as ? spoof_as->value() : kNoSpoof, 0x5c4edULL);
@@ -49,12 +48,8 @@ std::uint64_t ProbeOutcome::digest() const {
 ProbeOutcome execute_demand(probing::Prober& prober,
                             const ProbeDemand& demand) {
   ProbeOutcome outcome;
-  if (demand.offline()) {
-    outcome.offline_probes = demand.offline_work();
-  } else {
-    static_cast<probing::ProbeReply&>(outcome) =
-        probing::execute_spec(prober, demand);
-  }
+  static_cast<probing::ProbeReply&>(outcome) =
+      probing::execute_spec(prober, demand);
   return outcome;
 }
 
@@ -124,7 +119,7 @@ void ProbeScheduler::submit(TaskId task, std::size_t owner,
     ++stats_.demanded;
     if (metrics_ != nullptr) metrics_->demanded->add();
     const std::uint64_t key = demand.coalesce_key();
-    if (options_.coalesce && !demand.offline()) {
+    if (options_.coalesce) {
       if (const auto it = in_flight_.find(key); it != in_flight_.end()) {
         // Identical probe already pending: ride along, no second wire probe.
         pending_.at(it->second).waiters.push_back(Waiter{set_id, slot});
@@ -139,9 +134,7 @@ void ProbeScheduler::submit(TaskId task, std::size_t owner,
     pending.key = key;
     pending.waiters.push_back(Waiter{set_id, slot});
     queue_.push_back(pending_id);
-    if (options_.coalesce && !pending.demand.offline()) {
-      in_flight_[key] = pending_id;
-    }
+    if (options_.coalesce) in_flight_[key] = pending_id;
   }
   stats_.max_queue_depth = std::max<std::uint64_t>(stats_.max_queue_depth,
                                                    queue_.size());
@@ -152,7 +145,6 @@ void ProbeScheduler::submit(TaskId task, std::size_t owner,
 }
 
 bool ProbeScheduler::issuable_locked(const Pending& pending) {
-  if (pending.demand.offline()) return true;  // Not a wire probe.
   VpState& vp = vp_state_[pending.demand.from];
   if (vp.last_refill_round != round_) {
     vp.last_refill_round = round_;
@@ -174,7 +166,6 @@ void ProbeScheduler::assign_locked(Round& round, std::uint64_t pending_id,
   assigned_[ticket] = Assigned{pending_id, executor, round_};
   const ProbeDemand& demand = pending_.at(pending_id).demand;
   round.jobs.push_back(Assignment{ticket, demand});
-  round.offline.push_back(demand.offline_work);
 }
 
 ProbeScheduler::Round ProbeScheduler::dispatch_round_locked(
@@ -187,19 +178,17 @@ ProbeScheduler::Round ProbeScheduler::dispatch_round_locked(
   ++round_;
   ++stats_.rounds;
 
-  // One pass over the queue in FIFO order: offline jobs and non-spoofed
-  // probes dispatch in queue order; spoofed-RR demands gather into
-  // per-ingress groups so requests sharing an ingress fill the same 3-probe
-  // batches. Demands over a VP's window or bucket stay queued for the next
-  // round. An agent gets no offline jobs (run_offline_jobs steals them), and
-  // its window is checked first so a full agent costs no VP tokens.
+  // One pass over the queue in FIFO order: non-spoofed probes dispatch in
+  // queue order; spoofed-RR demands gather into per-ingress groups so
+  // requests sharing an ingress fill the same 3-probe batches. Demands over
+  // a VP's window or bucket stay queued for the next round. An agent's
+  // window is checked first so a full agent costs no VP tokens.
   std::deque<std::uint64_t> deferred;
   std::vector<net::Ipv4Addr> group_order;
   util::FlatMap<std::uint64_t, std::vector<std::uint64_t>> groups;
   for (const std::uint64_t pending_id : queue_) {
     const Pending& pending = pending_.at(pending_id);
-    if (agent != nullptr &&
-        (pending.demand.offline() || agent->inflight >= agent->window)) {
+    if (agent != nullptr && agent->inflight >= agent->window) {
       deferred.push_back(pending_id);
       continue;
     }
@@ -210,8 +199,7 @@ ProbeScheduler::Round ProbeScheduler::dispatch_round_locked(
       continue;
     }
     if (agent != nullptr) ++agent->inflight;
-    if (!pending.demand.offline() &&
-        pending.demand.type == probing::ProbeType::kSpoofedRecordRoute) {
+    if (pending.demand.type == probing::ProbeType::kSpoofedRecordRoute) {
       auto& group = groups[pending.demand.batch_ingress.value()];
       if (group.empty()) group_order.push_back(pending.demand.batch_ingress);
       group.push_back(pending_id);
@@ -263,25 +251,18 @@ bool ProbeScheduler::deliver_locked(AgentId agent, std::uint64_t ticket,
   }
   Pending pending = std::move(pending_.at(assigned.pending_id));
   pending_.erase(assigned.pending_id);
-  if (options_.coalesce && !pending.demand.offline()) {
-    in_flight_.erase(pending.key);
-  }
+  if (options_.coalesce) in_flight_.erase(pending.key);
 
   const std::uint64_t issue_id = next_issue_++;
   const std::uint64_t digest = outcome.digest();
-  if (pending.demand.offline()) {
-    ++stats_.offline_jobs;
-  } else {
-    ++stats_.issued;
-    if (metrics_ != nullptr) metrics_->issued->add();
-    ++result.issued;
-    result.round_duration_us =
-        std::max(result.round_duration_us, outcome.duration_us);
-  }
+  ++stats_.issued;
+  if (metrics_ != nullptr) metrics_->issued->add();
+  ++result.issued;
+  result.round_duration_us =
+      std::max(result.round_duration_us, outcome.duration_us);
   if (audit_ != nullptr) {
     audit_->issues.push_back(SchedulerAudit::Issue{
-        issue_id, pending.key, assigned.round, pending.demand.from,
-        pending.demand.offline(), digest});
+        issue_id, pending.key, assigned.round, pending.demand.from, digest});
   }
 
   // First waiter is the demand that caused the wire probe; the rest are
@@ -311,19 +292,13 @@ bool ProbeScheduler::deliver_locked(AgentId agent, std::uint64_t ticket,
 }
 
 void ProbeScheduler::run_round(const Round& round,
-                               probing::ProbeTransport* transport,
+                               probing::ProbeTransport& transport,
                                PumpResult& result) {
   if (round.jobs.empty()) return;
   std::vector<ProbeOutcome> outcomes(round.jobs.size());
   for (std::size_t i = 0; i < round.singles; ++i) {
-    if (round.offline[i]) {
-      const util::ExclusiveLock gate(probe_gate_);
-      outcomes[i].offline_probes = round.offline[i]();
-    } else {
-      const util::SharedLock gate(probe_gate_);
-      static_cast<probing::ProbeReply&>(outcomes[i]) =
-          transport->execute(round.jobs[i].spec);
-    }
+    static_cast<probing::ProbeReply&>(outcomes[i]) =
+        transport.execute(round.jobs[i].spec);
   }
   std::vector<probing::RrBatchItem> items;
   std::vector<probing::RrProbeResult> results;
@@ -334,12 +309,9 @@ void ProbeScheduler::run_round(const Round& round,
       const probing::ProbeSpec& spec = round.jobs[i].spec;
       items.push_back({spec.from, spec.target, spec.spoof_as});
     }
-    {
-      // One transport call per batch (a decorator may time or trace it);
-      // each item is still one wire probe with its own outcome.
-      const util::SharedLock gate(probe_gate_);
-      transport->execute_batch(items, results);
-    }
+    // One transport call per batch (a decorator may time or trace it);
+    // each item is still one wire probe with its own outcome.
+    transport.execute_batch(items, results);
     for (std::size_t i = 0; i < size; ++i, ++begin) {
       outcomes[begin].responded = results[i].responded;
       outcomes[begin].slots = std::move(results[i].slots);
@@ -373,7 +345,7 @@ ProbeScheduler::PumpResult ProbeScheduler::pump(
     if (round.jobs.empty() && !queue_.empty()) note_progress_locked();
   }
   PumpResult result;
-  run_round(round, &transport, result);
+  run_round(round, transport, result);
   return result;
 }
 
@@ -455,27 +427,6 @@ bool ProbeScheduler::deliver_assignment(AgentId agent, std::uint64_t ticket,
   const util::MutexLock lock(mu_);
   PumpResult ignored;
   return deliver_locked(agent, ticket, std::move(outcome), ignored, now_us);
-}
-
-std::size_t ProbeScheduler::run_offline_jobs(std::size_t max_jobs) {
-  Round round;
-  {
-    const util::MutexLock lock(mu_);
-    std::deque<std::uint64_t> keep;
-    for (const std::uint64_t pending_id : queue_) {
-      if (round.jobs.size() < max_jobs &&
-          pending_.at(pending_id).demand.offline()) {
-        assign_locked(round, pending_id, kLocalExecutor);
-      } else {
-        keep.push_back(pending_id);
-      }
-    }
-    queue_ = std::move(keep);
-  }
-  round.singles = round.jobs.size();
-  PumpResult ignored;
-  run_round(round, nullptr, ignored);
-  return round.singles;
 }
 
 std::size_t ProbeScheduler::assigned_in_flight() const {

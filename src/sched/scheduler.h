@@ -16,6 +16,9 @@
 //     batches *across* requests (§4.3). Deferred demands stay queued. A
 //     round goes to a VP agent (next_assignments) or to the pumping worker
 //     (pump), which runs it with the mutex released; both deliver alike.
+//   * Wire probes only: every demand is a ProbeSpec. Background measurement
+//     (the on-demand ingress survey) never enters the scheduler; the request
+//     that needs it runs it inline, on the thread that owns the request.
 //
 // Determinism: simulated probe outcomes are content-addressed (stateless
 // ECMP salt, endpoint-derived flow ids — DESIGN.md §8), so a demand answered
@@ -30,7 +33,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -54,12 +56,7 @@ struct ProbeDemand : probing::ProbeSpec {
   // Spoofed-RR only: the ingress this attempt expects, used to group
   // same-ingress demands from different requests into one wire batch.
   net::Ipv4Addr batch_ingress;
-  // Offline background work (on-demand ingress discovery) runs as a closure
-  // so the scheduler stays ignorant of vpselect; never coalesced, windowed,
-  // or counted as a wire probe. Returns the offline ProbeCounters delta.
-  std::function<probing::ProbeCounters()> offline_work;
 
-  bool offline() const noexcept { return static_cast<bool>(offline_work); }
   // Content hash: demands with equal keys are satisfied by one wire probe.
   std::uint64_t coalesce_key() const;
 };
@@ -71,7 +68,6 @@ struct ProbeOutcome : probing::ProbeReply {
   // True when this demand was answered by another request's in-flight
   // duplicate: no wire probe was issued for it.
   bool coalesced = false;
-  probing::ProbeCounters offline_probes;  // Offline demands only.
 
   // Content digest for the I7 audit: every fan-out copy of one issued probe
   // must digest identically.
@@ -118,7 +114,6 @@ struct SchedulerStats {
   std::uint64_t coalesced = 0;
   std::uint64_t throttled = 0;
   std::uint64_t wire_batches = 0;  // Spoofed-RR batches put on the wire.
-  std::uint64_t offline_jobs = 0;
   std::uint64_t rounds = 0;
   std::uint64_t max_queue_depth = 0;
   // Remote dispatch (distributed controller mode, DESIGN.md §15).
@@ -136,7 +131,6 @@ struct SchedulerAudit {
     std::uint64_t key = 0;       // ProbeDemand::coalesce_key().
     std::uint64_t round = 0;
     topology::HostId vp = topology::kInvalidId;
-    bool offline = false;
     std::uint64_t digest = 0;    // ProbeOutcome::digest() as issued.
   };
   struct Delivery {
@@ -152,8 +146,7 @@ struct SchedulerAudit {
 // wire probes in rounds under the per-VP limits, and hands each task its
 // completed outcome set in demand order. Thread-safe: campaign workers
 // submit, pump and collect concurrently. One mutex guards the tables; it is
-// held to plan a round and to deliver it, never while a probe or an offline
-// job executes.
+// held to plan a round and to deliver it, never while a probe executes.
 class ProbeScheduler {
  public:
   using TaskId = std::uint64_t;
@@ -183,9 +176,9 @@ class ProbeScheduler {
   void submit(TaskId task, std::size_t owner, std::vector<ProbeDemand> demands);
 
   // Runs one dispatch round on the caller: wire probes on `prober` (any
-  // worker's — outcomes are content-addressed) and offline jobs on this
-  // thread, with the mutex released so identical demands submitted
-  // meanwhile ride along; then delivers it the way agent replies are.
+  // worker's — outcomes are content-addressed), with the mutex released so
+  // identical demands submitted meanwhile ride along; then delivers it the
+  // way agent replies are.
   PumpResult pump(probing::Prober& prober);
   PumpResult pump(probing::ProbeTransport& transport);
 
@@ -197,8 +190,7 @@ class ProbeScheduler {
   // reserved executor id 0 (no window, no heartbeat). A pending demand keeps
   // its place in the coalescing tables while assigned, so cross-request
   // coalescing — and invariant I7 over the audit — hold across process
-  // boundaries. Offline jobs never cross the wire; any controller worker
-  // steals them via run_offline_jobs().
+  // boundaries.
 
   using AgentId = std::uint64_t;
 
@@ -229,7 +221,7 @@ class ProbeScheduler {
 
   // One dispatch round for `agent` — the round a pump runs, under the
   // agent's window too — moves eligible queued wire demands into its
-  // in-flight set. Offline jobs are skipped. Unknown agents get nothing.
+  // in-flight set. Unknown agents get nothing.
   std::vector<Assignment> next_assignments(AgentId agent)
       REVTR_EXCLUDES(mu_);
 
@@ -242,11 +234,9 @@ class ProbeScheduler {
                           const probing::ProbeReply& reply,
                           std::int64_t now_us = 0) REVTR_EXCLUDES(mu_);
 
-  // Runs up to `max_jobs` queued offline closures on the calling thread
-  // (work stealing: atlas-refresh jobs run on whichever controller worker
-  // gets here first). Returns the number run.
-  std::size_t run_offline_jobs(std::size_t max_jobs = SIZE_MAX)
-      REVTR_EXCLUDES(mu_);
+  // Always 0: the scheduler queues no offline work. Kept only because the
+  // benchmark harness (perfbench/twin.cpp) still calls it.
+  std::size_t run_offline_jobs() const noexcept { return 0; }
 
   // Dispatched jobs not yet delivered, on agents and in local rounds.
   std::size_t assigned_in_flight() const REVTR_EXCLUDES(mu_);
@@ -307,10 +297,9 @@ class ProbeScheduler {
   };
 
   // A round in delivery (ticket) order: jobs[0, singles) run singly, then
-  // spoofed-RR batches of `batch_sizes`. offline[i] is set for offline jobs.
+  // spoofed-RR batches of `batch_sizes`.
   struct Round {
     std::vector<Assignment> jobs;
-    std::vector<std::function<probing::ProbeCounters()>> offline;
     std::size_t singles = 0;
     std::vector<std::size_t> batch_sizes;
   };
@@ -324,8 +313,7 @@ class ProbeScheduler {
   void assign_locked(Round& round, std::uint64_t pending_id,
                      AgentId executor) REVTR_REQUIRES(mu_);
   // Executes a local round with mu_ released, then delivers it in order.
-  // `transport` is null for a round of offline jobs only.
-  void run_round(const Round& round, probing::ProbeTransport* transport,
+  void run_round(const Round& round, probing::ProbeTransport& transport,
                  PumpResult& result) REVTR_EXCLUDES(mu_);
   // The one delivery path: retires the ticket (false when stale), then
   // accounting, audit (at the dispatch round, for I7), and fan-out.
@@ -348,7 +336,7 @@ class ProbeScheduler {
   static constexpr std::uint64_t kTokenScale = 1u << 20;
   const std::uint64_t refill_scaled_;  // vp_tokens_per_round * kTokenScale.
   const std::uint64_t burst_scaled_;   // vp_token_burst * kTokenScale.
-  // The executor id of rounds run by pump() and run_offline_jobs().
+  // The executor id of rounds run by pump().
   static constexpr AgentId kLocalExecutor = 0;
 
   mutable util::Mutex mu_;
@@ -380,10 +368,6 @@ class ProbeScheduler {
   SchedulerStats stats_ REVTR_GUARDED_BY(mu_);
   std::uint64_t progress_ REVTR_GUARDED_BY(mu_) = 0;
   std::condition_variable_any progress_cv_;
-  // Held shared while a round's wire probes execute and exclusively while
-  // an offline job runs: the job touches its submitting worker's prober,
-  // which that worker may be probing through in its own round.
-  util::SharedMutex probe_gate_;
 };
 
 }  // namespace revtr::sched

@@ -836,15 +836,12 @@ void ServerDaemon::worker_loop(std::size_t w) {
 }
 
 std::size_t ServerDaemon::dispatch_to_agents() {
-  // Offline jobs (atlas refresh) never cross the wire: whichever worker
-  // gets here first steals them onto its own thread.
-  std::size_t moved = scheduler_->run_offline_jobs();
-
   std::vector<std::pair<std::uint64_t, sched::ProbeScheduler::AgentId>> agents;
   {
     const util::MutexLock lock(mu_);
     agents = agent_conns_;
   }
+  std::size_t moved = 0;
   for (const auto& [conn_id, agent] : agents) {
     // Scheduler (rank 60) and frame encoding both run outside mu_.
     const auto assignments = scheduler_->next_assignments(agent);

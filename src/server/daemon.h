@@ -193,10 +193,10 @@ class ServerDaemon {
 
   void net_loop();
   void worker_loop(std::size_t w);
-  // Remote-mode pump step (any worker): steals queued offline jobs, then
-  // encodes each live agent's next assignment batch as AGENT_PROBE
-  // completions for the net thread to flush. Returns the number of jobs +
-  // assignments moved (the runner's idle test).
+  // Remote-mode pump step (any worker): encodes each live agent's next
+  // assignment batch as AGENT_PROBE completions for the net thread to
+  // flush. Returns the number of assignments moved (the runner's idle
+  // test).
   std::size_t dispatch_to_agents();
   // Handles one decoded frame from a connection. Defined in daemon.cpp on
   // the net thread's connection table.

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "analysis/invariants.h"
 #include "analysis/model_checker.h"
 #include "analysis/oracle.h"
 #include "analysis/probe_log.h"
 #include "eval/harness.h"
+#include "util/rng.h"
 
 namespace revtr::analysis {
 namespace {
@@ -33,8 +35,9 @@ bool has_violation(const std::vector<Violation>& violations, InvariantId id) {
 struct LoggedLab {
   explicit LoggedLab(const topology::TopologyConfig& config,
                      core::EngineConfig engine_config =
-                         core::EngineConfig::revtr2())
-      : lab(config, engine_config) {
+                         core::EngineConfig::revtr2(),
+                     std::uint64_t seed = 7)
+      : lab(config, engine_config, seed) {
     lab.prober.set_observer(&log);
   }
 
@@ -269,6 +272,54 @@ TEST(Invariants, MaintenanceProbesAreChargedOffline) {
   EXPECT_EQ(result.offline_probes.total(), offline_delta.total());
 }
 
+// Regression (found by revtr_mc --seeds 60, state stampmix5/s57/revtr2):
+// the AS path skips unmapped hops, so a suspicious AS link can be crossed
+// across a private RR stamp. finalize_flags set has_suspicious_gap for it
+// but inserted a "*" only between two adjacent hops of the link's ASes, so
+// this path came out flagged with no "*". The state is rebuilt the way the
+// model checker builds it.
+TEST(Invariants, SuspiciousLinkAcrossAnUnmappedHopGetsAGap) {
+  const std::size_t shape = 2;  // stampmix5: private RR stamps.
+  const std::size_t seed_index = 57;
+  topology::TopologyConfig config = default_shapes()[shape].config;
+  config.seed = util::mix_hash(0x5eed, shape, seed_index);
+  const std::uint64_t state_seed =
+      util::mix_hash(util::mix_hash(shape, seed_index), 0, 0);  // revtr2/none
+  LoggedLab t{config, default_presets()[0].config, state_seed};
+  const HostId source = t.lab.topo.vantage_points()[0];
+  util::Rng rng(util::mix_hash(state_seed, 0xa77a5));
+  t.lab.atlas.build(source, 3, rng, t.clock.now());
+  t.lab.atlas.build_rr_alias_index(source);
+  HostId destination = topology::kInvalidId;
+  for (const auto& host : t.lab.topo.hosts()) {
+    if (host.id == source || host.is_vantage_point || host.is_probe_host ||
+        !host.ping_responsive) {
+      continue;
+    }
+    destination = host.id;
+    break;
+  }
+  ASSERT_NE(destination, topology::kInvalidId);
+
+  const auto result = t.measure(destination, source);
+  ASSERT_TRUE(result.complete());
+  ASSERT_TRUE(result.has_suspicious_gap);
+  // The state still exercises the case: the "*" follows an unmapped hop.
+  std::size_t gaps = 0;
+  bool after_unmapped = false;
+  for (std::size_t h = 1; h < result.hops.size(); ++h) {
+    if (result.hops[h].source != core::HopSource::kSuspiciousGap) continue;
+    ++gaps;
+    after_unmapped =
+        after_unmapped || !t.lab.ip2as.lookup(result.hops[h - 1].addr);
+  }
+  EXPECT_EQ(gaps, 1u);
+  EXPECT_TRUE(after_unmapped);
+  for (const auto& violation : check_result(result, t.context())) {
+    ADD_FAILURE() << to_string(violation.id) << ": " << violation.detail;
+  }
+}
+
 TEST(ModelChecker, SmokeRunIsCleanAndCounts) {
   CheckerOptions options;
   options.max_states = 60;
@@ -318,6 +369,7 @@ TEST(ModelChecker, GridCoversAllInvariantDimensions) {
                             return schedule.filtered_vp_stride > 0;
                           }));
 }
+
 
 }  // namespace
 }  // namespace revtr::analysis

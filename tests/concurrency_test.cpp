@@ -653,8 +653,7 @@ TEST_F(ParallelCampaignTest, StagedMatchesBlockingAcrossWorkersAndCoalescing) {
       EXPECT_EQ(blocking.stats.completed, staged.stats.completed);
       EXPECT_EQ(blocking.stats.aborted, staged.stats.aborted);
       EXPECT_EQ(blocking.stats.unreachable, staged.stats.unreachable);
-      // Every demand is accounted exactly once: issued, coalesced, or (not
-      // in a campaign — plans are precomputed) an offline job.
+      // Every demand is accounted exactly once: issued or coalesced.
       EXPECT_EQ(staged.sched->demanded,
                 staged.sched->issued + staged.sched->coalesced);
     }

@@ -6,14 +6,19 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <tuple>
 
 #include "analysis/invariants.h"
+#include "core/request_task.h"
 #include "eval/harness.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "sched/scheduler.h"
 #include "sim/network.h"
+#include "util/rng.h"
+#include "util/sim_clock.h"
 
 namespace revtr::sched {
 namespace {
@@ -262,25 +267,6 @@ TEST_F(SchedFixture, SpoofedBatchesGroupAcrossTasks) {
   EXPECT_EQ(scheduler.collect_ready(0).size(), 2u);
 }
 
-TEST_F(SchedFixture, OfflineDemandRunsClosureOffTheWire) {
-  ProbeScheduler scheduler;
-  ProbeDemand offline;
-  offline.offline_work = [] {
-    probing::ProbeCounters counters;
-    counters.ping = 7;
-    return counters;
-  };
-  scheduler.submit(1, 0, {std::move(offline)});
-  const auto pumped = scheduler.pump(lab_->prober);
-  EXPECT_EQ(pumped.issued, 0u);  // Offline jobs are not wire probes.
-  auto ready = scheduler.collect_ready(0);
-  ASSERT_EQ(ready.size(), 1u);
-  EXPECT_EQ(ready[0].outcomes[0].offline_probes.ping, 7u);
-  const auto stats = scheduler.stats();
-  EXPECT_EQ(stats.offline_jobs, 1u);
-  EXPECT_EQ(stats.issued, 0u);
-}
-
 TEST_F(SchedFixture, AuditSatisfiesI7AndCatchesTampering) {
   SchedOptions options;
   ProbeScheduler scheduler(options);
@@ -310,7 +296,7 @@ TEST_F(SchedFixture, AuditSatisfiesI7AndCatchesTampering) {
   SchedulerAudit overdriven;
   for (std::uint64_t i = 0; i < 3; ++i) {
     overdriven.issues.push_back(SchedulerAudit::Issue{
-        i, i, /*round=*/1, lab_->topo.vantage_points()[0], false, i});
+        i, i, /*round=*/1, lab_->topo.vantage_points()[0], i});
   }
   SchedOptions narrow;
   narrow.vp_window = 2;
@@ -365,65 +351,10 @@ TEST_F(SchedFixture, RiderJoinsAProbeExecutingOutsideTheLock) {
   EXPECT_TRUE(analysis::check_scheduler(audit, options).empty());
 }
 
-TEST_F(SchedFixture, OfflineJobNeverRunsAlongsideAWireProbe) {
-  // Worker A's wire probe is executing on A's prober when worker B's pump
-  // takes an offline job of A's, which probes through A's prober too. The
-  // job must wait for the probe to finish instead of running alongside it.
-  ProbeScheduler scheduler;
-  sim::Network network_b(lab_->topo, lab_->plane, 7);
-  probing::Prober prober_b(network_b);
-  std::mutex mu;
-  std::condition_variable cv;
-  bool a_executing = false;
-  bool job_started = false;
-  bool overlapped = false;
-  HookTransport transport_a(lab_->prober, [&](const probing::ProbeSpec&) {
-    std::unique_lock<std::mutex> lock(mu);
-    a_executing = true;
-    cv.notify_all();
-    // Give the job every chance to start while this probe is in flight.
-    cv.wait_for(lock, std::chrono::milliseconds(200),
-                [&] { return job_started; });
-    a_executing = false;
-  });
-  ProbeDemand offline;
-  offline.offline_work = [&] {
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      job_started = true;
-      overlapped = a_executing;
-      cv.notify_all();
-    }
-    const auto before = lab_->prober.offline_counters();
-    const probing::Prober::OfflineScope scope(lab_->prober);
-    lab_->prober.ping(lab_->topo.vantage_points()[4],
-                      lab_->topo.host(lab_->topo.probe_hosts()[0]).addr);
-    return lab_->prober.offline_counters() - before;
-  };
-
-  scheduler.submit(1, 0, {ping_demand(0, 0)});
-  std::thread worker_a([&] { scheduler.pump(transport_a); });
-  {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return a_executing; });
-  }
-  scheduler.submit(2, 0, {std::move(offline)});
-  scheduler.pump(prober_b);
-  worker_a.join();
-
-  EXPECT_TRUE(job_started);
-  EXPECT_FALSE(overlapped) << "offline job ran while a wire probe executed";
-  const auto ready = scheduler.collect_ready(0);
-  ASSERT_EQ(ready.size(), 2u);
-  EXPECT_EQ(scheduler.stats().offline_jobs, 1u);
-  EXPECT_TRUE(scheduler.idle());
-}
-
 TEST_F(SchedFixture, ConcurrentPumpersWithPrivateProbersMatchExecuteDemand) {
   // Two workers, each with its own network and prober, submit overlapping
-  // demand sets — pings, same-ingress spoofed RR, and one offline job that
-  // probes through its submitter's prober — and pump one scheduler at once.
-  // Either may run the other's offline job while the owner is probing.
+  // demand sets — pings and same-ingress spoofed RR — and pump one
+  // scheduler at once.
   SchedOptions options;
   ProbeScheduler scheduler(options);
   SchedulerAudit audit;
@@ -447,15 +378,6 @@ TEST_F(SchedFixture, ConcurrentPumpersWithPrivateProbersMatchExecuteDemand) {
       worker->sets.push_back({ping_demand(t % 3, h), spoofed_demand(h, ingress),
                               ping_demand(3, (h + 1) % 18)});
     }
-    ProbeDemand offline;
-    offline.offline_work = [this, &prober = worker->prober] {
-      const auto before = prober.offline_counters();
-      const probing::Prober::OfflineScope scope(prober);
-      prober.ping(lab_->topo.vantage_points()[4],
-                  lab_->topo.host(lab_->topo.probe_hosts()[0]).addr);
-      return prober.offline_counters() - before;
-    };
-    worker->sets[5].push_back(std::move(offline));
     worker->outcomes.resize(worker->sets.size());
     workers.push_back(std::move(worker));
   }
@@ -504,15 +426,12 @@ TEST_F(SchedFixture, ConcurrentPumpersWithPrivateProbersMatchExecuteDemand) {
       for (std::size_t i = 0; i < set.size(); ++i) {
         const ProbeOutcome& want = worker->want[t][i];
         EXPECT_EQ(got[i].digest(), want.digest()) << t << "/" << i;
-        EXPECT_EQ(got[i].offline_probes.total(), want.offline_probes.total());
       }
     }
   }
   const auto stats = scheduler.stats();
-  EXPECT_EQ(stats.offline_jobs, 2u);
-  // Every wire demand went on the wire once or rode along on a duplicate.
-  EXPECT_EQ(stats.issued + stats.coalesced + stats.offline_jobs,
-            stats.demanded);
+  // Every demand went on the wire once or rode along on a duplicate.
+  EXPECT_EQ(stats.issued + stats.coalesced, stats.demanded);
   EXPECT_GT(stats.wire_batches, 0u);
   EXPECT_TRUE(scheduler.idle());
   EXPECT_TRUE(analysis::check_scheduler(audit, options).empty());
@@ -780,34 +699,80 @@ TEST_F(SchedFixture, WaitForProgressWakesOnDeliveryAndTimesOutWhenIdle) {
   EXPECT_TRUE(scheduler.wait_for_progress(seen, std::chrono::seconds(30)));
 }
 
-TEST_F(SchedFixture, OfflineJobsNeverDispatchButAnyWorkerStealsThem) {
+// --- On-demand ingress discovery (DESIGN.md §10). ---------------------------
+
+std::size_t count_spans(const obs::Trace& trace, const std::string& name) {
+  return static_cast<std::size_t>(
+      std::count_if(trace.spans().begin(), trace.spans().end(),
+                    [&](const obs::Span& span) { return span.name == name; }));
+}
+
+TEST(SchedDiscovery, StagedOnDemandDiscoveryMatchesBlocking) {
+  // Twin worlds with no presurvey, so requests meet prefixes without a plan
+  // and survey them on demand. The staged side runs each request through
+  // the scheduler, one at a time; its survey runs inline on this thread.
+  // Both sides start each request from the same RNG stream, so they must
+  // agree on everything, the survey's offline packets included.
+  eval::Lab blocking(tiny_config());
+  eval::Lab staged(tiny_config());
+  const HostId source = blocking.topo.vantage_points()[0];
+  blocking.bootstrap_source(source, 3);
+  staged.bootstrap_source(source, 3);
+  auto destinations = blocking.responsive_destinations(/*require_rr=*/true);
+  ASSERT_GE(destinations.size(), 16u);
+  destinations.resize(16);
+
   ProbeScheduler scheduler;
-  const auto agent = scheduler.attach_agent(/*window=*/8);
-  ProbeDemand offline;
-  offline.offline_work = [] {
-    probing::ProbeCounters counters;
-    counters.traceroutes = 3;
-    return counters;
-  };
-  scheduler.submit(1, 0, {std::move(offline), ping_demand(0, 0)});
+  SchedulerAudit audit;
+  scheduler.set_audit(&audit);
+  std::size_t surveys = 0;
+  for (std::size_t i = 0; i < destinations.size(); ++i) {
+    SCOPED_TRACE(i);
+    obs::Trace want_trace;
+    util::SimClock want_clock;
+    blocking.engine.reseed(i + 1);
+    blocking.engine.set_trace(&want_trace);
+    const auto want =
+        blocking.engine.measure(destinations[i], source, want_clock);
+    blocking.engine.set_trace(nullptr);
 
-  // Offline closures never cross the wire: the agent only sees the ping.
-  const auto assignments = scheduler.next_assignments(agent);
-  ASSERT_EQ(assignments.size(), 1u);
-  EXPECT_EQ(assignments[0].spec.type, probing::ProbeType::kPing);
+    obs::Trace got_trace;
+    util::SimClock got_clock;
+    util::Rng rng(i + 1);
+    auto task = staged.engine.start_request(destinations[i], source,
+                                            got_clock, rng, &got_trace);
+    for (auto demands = task->advance(); !task->done();
+         demands = task->advance()) {
+      scheduler.submit(i, 0, {demands.begin(), demands.end()});
+      std::vector<ProbeScheduler::Ready> ready;
+      while (ready.empty()) {
+        scheduler.pump(staged.prober);
+        ready = scheduler.collect_ready(0);
+      }
+      ASSERT_EQ(ready.size(), 1u);
+      task->supply(ready[0].outcomes);
+    }
+    const auto got = task->take_result();
 
-  // Work stealing: whatever controller thread calls run_offline_jobs first
-  // executes the closure.
-  EXPECT_EQ(scheduler.run_offline_jobs(), 1u);
-  EXPECT_EQ(scheduler.stats().offline_jobs, 1u);
+    EXPECT_EQ(got.status, want.status);
+    EXPECT_EQ(got.hops, want.hops);
+    EXPECT_EQ(got.probes.total(), want.probes.total());
+    EXPECT_EQ(got.offline_probes.total(), want.offline_probes.total());
+    EXPECT_EQ(got.offline_probes.rr, want.offline_probes.rr);
+    EXPECT_EQ(got.span.duration(), want.span.duration());
+    const std::size_t want_surveys =
+        count_spans(want_trace, "ingress-discovery");
+    EXPECT_EQ(count_spans(got_trace, "ingress-discovery"), want_surveys);
+    surveys += want_surveys;
+  }
+  EXPECT_GT(surveys, 0u) << "no request surveyed a prefix on demand";
 
-  const auto reply = probing::execute_spec(lab_->prober, assignments[0].spec);
-  EXPECT_TRUE(
-      scheduler.deliver_assignment(agent, assignments[0].ticket, reply));
-  auto ready = scheduler.collect_ready(0);
-  ASSERT_EQ(ready.size(), 1u);
-  ASSERT_EQ(ready[0].outcomes.size(), 2u);
-  EXPECT_EQ(ready[0].outcomes[0].offline_probes.traceroutes, 3u);
+  // Only wire probes passed through the scheduler: every demand was issued
+  // or rode along on a duplicate.
+  const auto stats = scheduler.stats();
+  EXPECT_EQ(stats.issued + stats.coalesced, stats.demanded);
+  EXPECT_TRUE(scheduler.idle());
+  EXPECT_TRUE(analysis::check_scheduler(audit, scheduler.options()).empty());
 }
 
 }  // namespace

@@ -384,10 +384,6 @@ const std::map<std::pair<std::string, std::string>, int>& lock_order_table() {
   static const std::map<std::pair<std::string, std::string>, int> kOrder = {
       {{"util", "mu"}, 0},             // StripedMap stripe mutexes.
       {{"util", "mu_"}, 0},            // Distribution, ThreadPool.
-      {{"sched", "probe_gate_"}, 5},   // ProbeScheduler probe execution:
-                                       // never held with mu_; probes and
-                                       // offline jobs take obs, vpselect
-                                       // and atlas locks under it.
       {{"obs", "mu_"}, 10},            // MetricsRegistry, TraceSink.
       {{"sched", "mu_"}, 60},          // ProbeScheduler.
       {{"vpselect", "mu_"}, 70},       // IngressDiscovery.
