@@ -25,9 +25,7 @@ void Lab::bootstrap_source(topology::HostId source, std::size_t atlas_size) {
 
 void Lab::precompute_ingresses(
     std::span<const topology::PrefixId> prefixes) {
-  for (const auto prefix : prefixes) {
-    ingress.discover(prefix, topo.vantage_points(), rng);
-  }
+  ingress.discover_all(prefixes, topo.vantage_points(), rng);
 }
 
 void Lab::precompute_all_ingresses() {

@@ -134,6 +134,19 @@ void Prober::charge_traceroute_head() {
   }
 }
 
+Prober Prober::fork(sim::Network& network) const {
+  REVTR_CHECK(observer_ == nullptr && !fault_policy_);
+  Prober forked(network);
+  forked.metrics_ = metrics_;
+  return forked;
+}
+
+void Prober::absorb(const Prober& fork) {
+  counters_ += fork.counters_;
+  offline_counters_ += fork.offline_counters_;
+  sequence_ = static_cast<std::uint16_t>(sequence_ + fork.sequence_);
+}
+
 bool Prober::vetoed(ProbeEvent& event) {
   if (!fault_policy_) return false;
   if (!fault_policy_(event)) return false;

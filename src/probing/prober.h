@@ -243,6 +243,16 @@ class Prober {
     Prober& prober_;
   };
 
+  // A prober over `network` (a worker thread's copy of this prober's
+  // network) that charges this prober's metrics handles, for probing on
+  // its behalf from another thread; absorb() folds it back. REVTR_CHECKs
+  // that this prober has no observer and no fault policy: both expect one
+  // probe stream in issue order, which concurrent forks cannot give.
+  Prober fork(sim::Network& network) const;
+  // Adds a fork's counters, offline counters and ICMP-id sequence to this
+  // prober's, leaving it as if it had sent the fork's probes itself.
+  void absorb(const Prober& fork);
+
   // Observer outlives the prober's use of it; pass nullptr to detach.
   void set_observer(ProbeObserver* observer) noexcept { observer_ = observer; }
   // Metrics handles outlive the prober's use of them; nullptr (the default)

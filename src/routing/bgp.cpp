@@ -56,30 +56,24 @@ std::uint64_t BgpTable::tiebreak(Asn chooser, Asn candidate,
 void BgpTable::set_no_export(AsIndex origin,
                              std::vector<Asn> suppressed_neighbors) {
   no_export_[origin] = std::move(suppressed_neighbors);
-  columns_[origin].reset();
+  columns_.reset(origin);
 }
 
 void BgpTable::clear_no_export(AsIndex origin) {
   no_export_.erase(origin);
-  columns_[origin].reset();
+  columns_.reset(origin);
 }
 
 void BgpTable::set_epoch(std::uint32_t epoch, double flip_fraction) {
   epoch_ = epoch;
   flip_per_million_ = static_cast<std::uint32_t>(
       std::clamp(flip_fraction, 0.0, 1.0) * 1000000.0);
-  for (auto& column : columns_) column.reset();
-  computed_ = 0;
+  columns_.clear();
 }
 
 const BgpTable::Column& BgpTable::column(AsIndex dest) const {
-  auto& slot = columns_[dest];
-  if (!slot) {
-    slot = std::make_unique<Column>();
-    compute_column(dest, *slot);
-    ++computed_;
-  }
-  return *slot;
+  return columns_.get(dest,
+                      [&](Column& column) { compute_column(dest, column); });
 }
 
 Asn BgpTable::next_hop(AsIndex dest, AsIndex from) const {

@@ -11,14 +11,20 @@
 // Each AS also records an *alternate* equally-preferred next hop when one
 // exists; source-sensitive routers use it to violate destination-based
 // routing at a controlled rate (Appx E).
+//
+// Thread safety: the queries (column, next_hop, as_path, ...) may run from
+// many threads at once, including on a column's first use (util::LazySlots).
+// The reconfiguration calls (set_no_export, clear_no_export, set_epoch) are
+// single-threaded: they free cached columns, so no query may run
+// concurrently with them.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "topology/topology.h"
+#include "util/lazy_slots.h"
 
 namespace revtr::routing {
 
@@ -61,7 +67,7 @@ class BgpTable {
                                      topology::AsIndex dest) const;
 
   // Number of columns computed so far (for tests / memory awareness).
-  std::size_t computed_columns() const noexcept { return computed_; }
+  std::size_t computed_columns() const noexcept { return columns_.filled(); }
 
   // --- Announcement policies (§6.1 traffic engineering). ---
   // Suppresses the origin's announcement toward specific neighbors — the
@@ -85,8 +91,7 @@ class BgpTable {
                          topology::Asn dest) const;
 
   const topology::Topology& topo_;
-  mutable std::vector<std::unique_ptr<Column>> columns_;
-  mutable std::size_t computed_ = 0;
+  util::LazySlots<Column> columns_;
   std::uint32_t epoch_ = 0;
   std::uint32_t flip_per_million_ = 0;
   std::unordered_map<topology::AsIndex, std::vector<topology::Asn>>

@@ -22,12 +22,7 @@ IntraRouting::IntraRouting(const topology::Topology& topo)
 
 const IntraRouting::AsMatrix& IntraRouting::matrix(
     topology::AsIndex as) const {
-  auto& slot = matrices_[as];
-  if (!slot) {
-    slot = std::make_unique<AsMatrix>();
-    compute(as, *slot);
-  }
-  return *slot;
+  return matrices_.get(as, [&](AsMatrix& m) { compute(as, m); });
 }
 
 void IntraRouting::compute(topology::AsIndex as, AsMatrix& m) const {

@@ -6,13 +6,16 @@
 // per-packet load balancers and source-sensitive routers use, producing the
 // load-balancing and destination-based-routing-violation phenomena of
 // Appx E.
+//
+// Thread safety: every query may run from many threads at once, including
+// on an AS's first use (util::LazySlots).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "topology/topology.h"
+#include "util/lazy_slots.h"
 
 namespace revtr::routing {
 
@@ -56,7 +59,7 @@ class IntraRouting {
 
   const topology::Topology& topo_;
   std::vector<std::uint32_t> local_index_;  // RouterId -> index within AS.
-  mutable std::vector<std::unique_ptr<AsMatrix>> matrices_;
+  util::LazySlots<AsMatrix> matrices_;
 };
 
 }  // namespace revtr::routing

@@ -112,9 +112,8 @@ class ParallelCampaignDriver {
       std::span<const std::pair<topology::HostId, topology::HostId>> pairs);
 
  private:
-  // Surveys every prefix that has no ingress plan yet, through the
-  // ingress module's own control prober, so workers never hit the
-  // on-demand discovery path concurrently.
+  // Surveys every prefix that has no ingress plan yet (discover_all), so
+  // workers never hit the on-demand discovery path concurrently.
   void precompute_ingress_plans();
 
   CampaignDeps deps_;

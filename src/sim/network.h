@@ -83,6 +83,14 @@ class Network {
     salt_seed_ = seed;
   }
 
+  // Restarts only the loss stream, at a point derived from the network
+  // seed and `stream`; the balancing salt stays. A batch that gives each
+  // unit of work its own stream (the ingress survey seeds one per prefix)
+  // then sees the same losses whichever copy of the Network runs it.
+  void reseed_loss(std::uint64_t stream) noexcept {
+    rng_.reseed(util::mix_hash(salt_seed_, stream, 0x1055ULL));
+  }
+
   std::uint64_t packets_forwarded() const noexcept {
     return packets_forwarded_;
   }

@@ -1,7 +1,13 @@
 #include "vpselect/ingress.h"
 
+#include <sched.h>
+
 #include <algorithm>
+#include <deque>
+#include <exception>
 #include <map>
+#include <optional>
+#include <thread>
 
 namespace revtr::vpselect {
 
@@ -9,6 +15,16 @@ namespace {
 using net::Ipv4Addr;
 using topology::HostId;
 using topology::PrefixId;
+
+// CPUs the calling thread may run on; threads it starts inherit its mask.
+std::size_t usable_cpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<std::size_t>(std::max(1, CPU_COUNT(&set)));
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
+}
 }  // namespace
 
 ReachAnalysis analyze_reach(std::span<const Ipv4Addr> slots,
@@ -108,21 +124,77 @@ std::shared_ptr<const PrefixPlan> IngressDiscovery::discover(
   // whole survey (not just the map insert) is required for correctness, not
   // merely convenience.
   const util::ExclusiveLock lock(mu_);
-  // Built fresh and swapped in, never rebuilt in place: holders of the old
-  // snapshot keep a consistent plan across a re-discovery.
-  const auto snapshot = std::make_shared<PrefixPlan>();
-  PrefixPlan& plan = *snapshot;
-  plans_[prefix] = snapshot;
-  plan.prefix = prefix;
-  if (const IngressMetrics* metrics = metrics_.load(std::memory_order_acquire);
-      metrics != nullptr) {
-    metrics->surveys->add();
-    metrics->plans->set(static_cast<std::int64_t>(plans_.size()));
+  return commit(survey(prober_, prefix, vps, exclude), rng);
+}
+
+void IngressDiscovery::discover_all(std::span<const PrefixId> prefixes,
+                                    std::span<const HostId> vps,
+                                    util::Rng& rng) {
+  if (prefixes.empty()) return;
+  struct Worker {
+    sim::Network network;
+    probing::Prober prober;
+
+    explicit Worker(probing::Prober& shared)
+        : network(shared.network()), prober(shared.fork(network)) {}
+  };
+  // One slot per prefix, in `prefixes` order. Its worker writes `survey`
+  // (or `failure`) and then sets `ready`, so the release/acquire pair on
+  // `ready` hands the slot from worker to committer.
+  struct Slot {
+    std::optional<Survey> survey;
+    std::exception_ptr failure;
+    std::atomic<bool> ready{false};
+  };
+  const std::size_t count = std::min(usable_cpus(), prefixes.size());
+  // A deque: each fork refers to its Worker's network, so Workers never
+  // move once built.
+  std::deque<Worker> workers;
+  for (std::size_t w = 0; w < count; ++w) workers.emplace_back(prober_);
+  std::vector<Slot> slots(prefixes.size());
+  std::atomic<std::size_t> next{0};
+  {
+    // Declared after what they use, so an exception below joins them
+    // before the slots and forks are destroyed.
+    std::vector<std::jthread> threads;
+    for (Worker& worker : workers) {
+      threads.emplace_back([&, &worker = worker] {
+        for (std::size_t i = next.fetch_add(1); i < prefixes.size();
+             i = next.fetch_add(1)) {
+          Slot& slot = slots[i];
+          try {
+            worker.network.reseed_loss(prefixes[i]);
+            slot.survey = survey(worker.prober, prefixes[i], vps, {});
+          } catch (...) {
+            slot.failure = std::current_exception();
+            next.store(prefixes.size());
+          }
+          slot.ready.store(true, std::memory_order_release);
+          slot.ready.notify_one();
+        }
+      });
+    }
+    for (Slot& slot : slots) {
+      slot.ready.wait(false, std::memory_order_acquire);
+      if (slot.failure) std::rethrow_exception(slot.failure);
+      const util::ExclusiveLock lock(mu_);
+      commit(*slot.survey, rng);
+      slot.survey.reset();
+    }
   }
+  const util::ExclusiveLock lock(mu_);
+  for (const Worker& worker : workers) prober_.absorb(worker.prober);
+}
+
+IngressDiscovery::Survey IngressDiscovery::survey(
+    probing::Prober& prober, PrefixId prefix, std::span<const HostId> vps,
+    std::span<const HostId> exclude) const {
+  Survey out;
+  out.prefix = prefix;
 
   // The survey is offline measurement (Q3): its probes must never appear in
   // a request's online budget, whichever caller triggers it.
-  const probing::Prober::OfflineScope offline(prober_);
+  const probing::Prober::OfflineScope offline(prober);
 
   // Pick survey destinations: ping-responsive hosts of the prefix (the
   // hitlist view), excluding any caller-reserved hosts. Infrastructure
@@ -149,25 +221,18 @@ std::shared_ptr<const PrefixPlan> IngressDiscovery::discover(
       dests.push_back(addr);
     }
   }
-  if (dests.empty()) return snapshot;
+  if (dests.empty()) return out;
 
   const net::Ipv4Prefix& bgp_prefix = topo_.prefix(prefix).prefix;
 
   // Probe every VP toward each destination; collect reach + candidates.
-  struct VpSurvey {
-    HostId vp;
-    std::vector<Ipv4Addr> candidates;  // Intersection across destinations.
-    std::vector<Ipv4Addr> slots_d1;    // For candidate distances.
-  };
-  std::vector<VpSurvey> surveys;
-
   for (const HostId vp : vps) {
     PrefixPlan::VpInfo info;
     info.vp = vp;
     std::vector<std::vector<Ipv4Addr>> candidate_sets;
     std::vector<Ipv4Addr> first_slots;
     for (std::size_t d = 0; d < dests.size(); ++d) {
-      const auto result = prober_.rr_ping(vp, dests[d]);
+      const auto result = prober.rr_ping(vp, dests[d]);
       if (!result.responded) continue;
       const auto analysis =
           analyze_reach(result.slots, bgp_prefix,
@@ -182,7 +247,7 @@ std::shared_ptr<const PrefixPlan> IngressDiscovery::discover(
       }
       candidate_sets.push_back(analysis.candidates);
     }
-    plan.vp_info.push_back(info);
+    out.vp_info.push_back(info);
     if (candidate_sets.empty()) continue;
 
     // Ingress candidates must appear on every responding path.
@@ -198,27 +263,40 @@ std::shared_ptr<const PrefixPlan> IngressDiscovery::discover(
       common = std::move(next);
     }
     if (!common.empty()) {
-      surveys.push_back(VpSurvey{vp, std::move(common),
-                                 std::move(first_slots)});
+      out.reaches.push_back(
+          Survey::Reach{vp, std::move(common), std::move(first_slots)});
     }
   }
+  return out;
+}
+
+std::shared_ptr<const PrefixPlan> IngressDiscovery::commit(
+    const Survey& survey, util::Rng& rng) {
+  // Built fresh and swapped in, never rebuilt in place: holders of the old
+  // snapshot keep a consistent plan across a re-discovery.
+  const auto snapshot = std::make_shared<PrefixPlan>();
+  PrefixPlan& plan = *snapshot;
+  plans_[survey.prefix] = snapshot;
+  plan.prefix = survey.prefix;
+  plan.vp_info = survey.vp_info;
+  const auto& reaches = survey.reaches;
 
   // Greedy set cover: ingress candidates covering the most uncovered VPs
   // win; ties break randomly (§4.3).
-  std::map<Ipv4Addr, std::vector<std::size_t>> covering;  // addr -> surveys.
-  for (std::size_t s = 0; s < surveys.size(); ++s) {
-    for (const auto addr : surveys[s].candidates) {
+  std::map<Ipv4Addr, std::vector<std::size_t>> covering;  // addr -> reaches.
+  for (std::size_t s = 0; s < reaches.size(); ++s) {
+    for (const auto addr : reaches[s].candidates) {
       covering[addr].push_back(s);
     }
   }
-  std::vector<bool> covered(surveys.size(), false);
-  std::size_t remaining = surveys.size();
+  std::vector<bool> covered(reaches.size(), false);
+  std::size_t remaining = reaches.size();
   while (remaining > 0) {
     std::vector<Ipv4Addr> best_addrs;
     std::size_t best_count = 0;
-    for (const auto& [addr, survey_ids] : covering) {
+    for (const auto& [addr, reach_ids] : covering) {
       std::size_t count = 0;
-      for (const std::size_t s : survey_ids) count += !covered[s];
+      for (const std::size_t s : reach_ids) count += !covered[s];
       if (count > best_count) {
         best_count = count;
         best_addrs = {addr};
@@ -236,11 +314,11 @@ std::shared_ptr<const PrefixPlan> IngressDiscovery::discover(
       covered[s] = true;
       --remaining;
       // Distance of this VP to the ingress: position in its observed path.
-      const auto& slots = surveys[s].slots_d1;
+      const auto& slots = reaches[s].slots_d1;
       const auto it = std::find(slots.begin(), slots.end(), chosen);
       const int distance =
           it == slots.end() ? 9 : static_cast<int>(it - slots.begin()) + 1;
-      ingress.vps.push_back(VpDistance{surveys[s].vp, distance});
+      ingress.vps.push_back(VpDistance{reaches[s].vp, distance});
     }
     std::sort(ingress.vps.begin(), ingress.vps.end(),
               [](const VpDistance& a, const VpDistance& b) {
@@ -256,8 +334,10 @@ std::shared_ptr<const PrefixPlan> IngressDiscovery::discover(
                      return a.vps.size() > b.vps.size();
                    });
   if (const IngressMetrics* metrics = metrics_.load(std::memory_order_acquire);
-      metrics != nullptr && plan.has_ingresses()) {
-    metrics->prefixes_covered->add();
+      metrics != nullptr) {
+    metrics->surveys->add();
+    metrics->plans->set(static_cast<std::int64_t>(plans_.size()));
+    if (plan.has_ingresses()) metrics->prefixes_covered->add();
   }
   return snapshot;
 }

@@ -139,11 +139,62 @@ class IngressDiscovery {
       topology::PrefixId prefix, std::span<const topology::HostId> vps,
       util::Rng& rng, std::span<const topology::HostId> exclude = {});
 
+  // Surveys every prefix in `prefixes` on all the CPUs the calling thread
+  // may run on (its sched_getaffinity mask), capped at the prefix count.
+  //  * Each worker thread probes through its own copy of the shared
+  //    prober's Network (same seed, same loss rate) and a fork of the
+  //    prober, claiming prefixes from a shared index.
+  //  * The calling thread commits prefixes in `prefixes` order, each as
+  //    soon as it and every earlier one are surveyed: the set cover draws
+  //    from `rng`, the plan is published, and the raw survey is freed, so
+  //    only the surveys that ran ahead of the commit are held at once.
+  //  * After the join, every fork's counters and ICMP-id sequence are
+  //    folded into the shared prober.
+  // At loss 0 an RR probe's path is a function of its content (the
+  // option-packet ECMP salt is mix_hash(seed, src, dst, kind)), so the
+  // plans, the rng's state and the shared prober's counters and next ICMP
+  // id equal a discover() loop over `prefixes`. Under loss, each prefix
+  // draws from its own loss stream seeded from (network seed, prefix id):
+  // the outcome is a function of the inputs, not of the thread count, but
+  // it differs from the serial loop's, and the shared Network's loss
+  // stream (and its packet counters) do not advance.
+  // REVTR_CHECKs that the shared prober has no observer and no fault
+  // policy (Prober::fork). Not to be run concurrently with discover().
+  void discover_all(std::span<const topology::PrefixId> prefixes,
+                    std::span<const topology::HostId> vps, util::Rng& rng);
+
   std::shared_ptr<const PrefixPlan> plan_for(topology::PrefixId prefix) const;
 
   const Options& options() const noexcept { return options_; }
 
  private:
+  // What one prefix's RR pings showed, before the set cover.
+  struct Survey {
+    topology::PrefixId prefix = topology::kInvalidId;
+    std::vector<PrefixPlan::VpInfo> vp_info;
+    struct Reach {
+      topology::HostId vp = topology::kInvalidId;
+      // Ingress candidates: the intersection across destinations.
+      std::vector<net::Ipv4Addr> candidates;
+      // The first destination's RR slots, for candidate distances.
+      std::vector<net::Ipv4Addr> slots_d1;
+    };
+    // VPs with at least one candidate, in `vps` order.
+    std::vector<Reach> reaches;
+  };
+
+  // The probing step: picks the survey destinations and RR-pings each from
+  // every VP through `prober`. Touches no member but the const topology
+  // and options, so workers may run it concurrently on their own probers.
+  Survey survey(probing::Prober& prober, topology::PrefixId prefix,
+                std::span<const topology::HostId> vps,
+                std::span<const topology::HostId> exclude) const;
+  // The serial step: runs the set cover (drawing from `rng`), publishes
+  // the plan and updates the metrics.
+  std::shared_ptr<const PrefixPlan> commit(const Survey& survey,
+                                           util::Rng& rng)
+      REVTR_REQUIRES(mu_);
+
   probing::Prober& prober_;
   const topology::Topology& topo_;
   const Options options_;

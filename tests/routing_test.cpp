@@ -2,7 +2,10 @@
 #include <memory>
 
 #include <algorithm>
+#include <random>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "routing/bgp.h"
 #include "routing/forwarding.h"
@@ -357,6 +360,59 @@ TEST_F(RoutingFixture, SourceSensitivityOnlyAffectsFlaggedAses) {
     ASSERT_GE(r1.size(), 2u);
     ASSERT_GE(r2.size(), 2u);
     EXPECT_EQ(r1[1], r2[1]) << "AS " << node.asn;
+  }
+}
+
+// --------------------------------------------------------------------------
+// Concurrent first use
+// --------------------------------------------------------------------------
+
+// Every BGP column and intra-AS matrix is filled on first use; many threads
+// may race to fill one. Each must see the table a single thread computes.
+TEST(RoutingConcurrency, FirstUseFromManyThreadsMatchesSerial) {
+  TopologyConfig config = small_config();
+  config.num_ases = 300;
+  const Topology topo = TopologyBuilder::build(config);
+  const BgpTable serial_bgp(topo);
+  const IntraRouting serial_intra(topo);
+  const BgpTable bgp(topo);
+  const IntraRouting intra(topo);
+
+  {
+    std::vector<std::jthread> threads;
+    for (unsigned t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        std::vector<AsIndex> order(topo.num_ases());
+        for (AsIndex as = 0; as < order.size(); ++as) order[as] = as;
+        std::shuffle(order.begin(), order.end(), std::mt19937(t + 1));
+        for (const AsIndex as : order) {
+          bgp.column(as);
+          const auto& routers = topo.as_at(as).routers;
+          intra.distance(routers.front(), routers.back());
+        }
+      });
+    }
+  }
+
+  EXPECT_EQ(bgp.computed_columns(), topo.num_ases());
+  for (AsIndex dest = 0; dest < topo.num_ases(); ++dest) {
+    const auto& got = bgp.column(dest);
+    const auto& want = serial_bgp.column(dest);
+    EXPECT_EQ(got.next, want.next) << "dest " << dest;
+    EXPECT_EQ(got.alt, want.alt) << "dest " << dest;
+    EXPECT_EQ(got.path_len, want.path_len) << "dest " << dest;
+    EXPECT_EQ(got.route_class, want.route_class) << "dest " << dest;
+  }
+  for (const auto& node : topo.ases()) {
+    for (const auto from : node.routers) {
+      for (const auto to : node.routers) {
+        const auto got = intra.next_hops(from, to);
+        const auto want = serial_intra.next_hops(from, to);
+        EXPECT_EQ(got.primary, want.primary);
+        EXPECT_EQ(got.alternate, want.alternate);
+        EXPECT_EQ(intra.distance(from, to), serial_intra.distance(from, to));
+      }
+    }
   }
 }
 

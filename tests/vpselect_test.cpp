@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <set>
 
+#include "core/serialize.h"
 #include "eval/harness.h"
 #include "util/stats.h"
 #include "vpselect/ingress.h"
@@ -281,6 +282,94 @@ TEST_F(VpSelectFixture, DiscoveryWithZeroResponsiveVpsYieldsEmptyPlan) {
     EXPECT_TRUE(attempt_plan(plan).empty());
     EXPECT_FALSE(optimal_vp(plan));
   }
+}
+
+// --------------------------------------------------------------------------
+// Batch survey: discover_all on every usable CPU equals a discover() loop
+// --------------------------------------------------------------------------
+
+void expect_same_plan(const PrefixPlan& serial, const PrefixPlan& batch) {
+  EXPECT_EQ(serial.prefix, batch.prefix);
+  ASSERT_EQ(serial.ingresses.size(), batch.ingresses.size());
+  for (std::size_t k = 0; k < serial.ingresses.size(); ++k) {
+    const auto& a = serial.ingresses[k];
+    const auto& b = batch.ingresses[k];
+    EXPECT_EQ(a.addr, b.addr);
+    ASSERT_EQ(a.vps.size(), b.vps.size());
+    for (std::size_t v = 0; v < a.vps.size(); ++v) {
+      EXPECT_EQ(a.vps[v].vp, b.vps[v].vp);
+      EXPECT_EQ(a.vps[v].distance, b.vps[v].distance);
+    }
+  }
+  ASSERT_EQ(serial.vp_info.size(), batch.vp_info.size());
+  for (std::size_t v = 0; v < serial.vp_info.size(); ++v) {
+    EXPECT_EQ(serial.vp_info[v].vp, batch.vp_info[v].vp);
+    EXPECT_EQ(serial.vp_info[v].dist_d1, batch.vp_info[v].dist_d1);
+    EXPECT_EQ(serial.vp_info[v].dist_d2, batch.vp_info[v].dist_d2);
+  }
+}
+
+void expect_same_counters(const probing::ProbeCounters& a,
+                          const probing::ProbeCounters& b) {
+  EXPECT_EQ(a.ping, b.ping);
+  EXPECT_EQ(a.rr, b.rr);
+  EXPECT_EQ(a.spoofed_rr, b.spoofed_rr);
+  EXPECT_EQ(a.ts, b.ts);
+  EXPECT_EQ(a.spoofed_ts, b.spoofed_ts);
+  EXPECT_EQ(a.traceroute_packets, b.traceroute_packets);
+  EXPECT_EQ(a.traceroutes, b.traceroutes);
+}
+
+// At loss 0 an RR probe's path is a function of its content, so surveying
+// on worker threads through forks of the shared prober must leave exactly
+// the state a discover() loop leaves: the same plans, the same rng, the
+// same prober counters and ICMP-id sequence, and so the same measurements
+// afterwards.
+TEST(IngressDiscovery, BatchSurveyMatchesSerial) {
+  topology::TopologyConfig config;
+  config.seed = 7;
+  config.num_ases = 400;
+  config.num_vps = 12;
+  config.num_probe_hosts = 40;
+  eval::Lab serial(config);
+  eval::Lab batch(config);
+  std::vector<PrefixId> prefixes;
+  for (const auto& prefix : serial.topo.prefixes()) {
+    prefixes.push_back(prefix.id);
+  }
+
+  for (const PrefixId prefix : prefixes) {
+    serial.ingress.discover(prefix, serial.topo.vantage_points(), serial.rng);
+  }
+  batch.ingress.discover_all(prefixes, batch.topo.vantage_points(),
+                             batch.rng);
+
+  for (const PrefixId prefix : prefixes) {
+    const auto a = serial.ingress.plan_for(prefix);
+    const auto b = batch.ingress.plan_for(prefix);
+    ASSERT_NE(a, nullptr);
+    ASSERT_NE(b, nullptr);
+    expect_same_plan(*a, *b);
+  }
+  expect_same_counters(serial.prober.counters(), batch.prober.counters());
+  expect_same_counters(serial.prober.offline_counters(),
+                       batch.prober.offline_counters());
+  EXPECT_GT(batch.prober.offline_counters().rr, 0u);
+  EXPECT_EQ(serial.rng(), batch.rng());
+
+  // Later probes get the same ICMP ids and flow keys, and the rng feeds
+  // the atlas the same draws: a bootstrap and a measurement agree.
+  const HostId source = serial.topo.vantage_points().front();
+  serial.bootstrap_source(source, 60);
+  batch.bootstrap_source(source, 60);
+  const HostId destination = serial.responsive_destinations(true).front();
+  util::SimClock serial_clock;
+  util::SimClock batch_clock;
+  const auto a = serial.engine.measure(destination, source, serial_clock);
+  const auto b = batch.engine.measure(destination, source, batch_clock);
+  EXPECT_EQ(core::to_json(a, serial.topo).dump(),
+            core::to_json(b, batch.topo).dump());
+  expect_same_counters(serial.prober.counters(), batch.prober.counters());
 }
 
 }  // namespace
