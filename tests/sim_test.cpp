@@ -2,10 +2,15 @@
 #include <memory>
 
 #include <algorithm>
+#include <array>
+#include <span>
+#include <thread>
+#include <vector>
 
 #include "routing/forwarding.h"
 #include "sim/network.h"
 #include "topology/builder.h"
+#include "util/rng.h"
 
 namespace revtr::sim {
 namespace {
@@ -377,6 +382,201 @@ TEST_F(SimFixture, PacketsForwardedGrows) {
   network.send(probe, vp);
   EXPECT_GT(network.packets_forwarded(), before);
   EXPECT_EQ(network.probes_injected(), 1u);
+}
+
+// --- Exactness pin ---------------------------------------------------------
+// A fixed probe mix over the fixture topology, reduced to one digest of every
+// observable outcome. Work on the forwarding path must leave the digests
+// below untouched: the simulator's outputs are part of every measurement.
+
+struct MixProbe {
+  Packet packet;
+  HostId sender = topology::kInvalidId;
+};
+
+// Every kind of address a probe can be aimed at: host addresses and the
+// aliases some hosts stamp (loopbacks in infrastructure space), router
+// loopbacks, both ends of interdomain /30s, gateways, an unowned address
+// inside an announced prefix, and private space.
+std::vector<Ipv4Addr> pinned_targets(const Topology& topo) {
+  std::vector<Ipv4Addr> targets;
+  std::size_t aliases = 0;
+  for (const auto& host : topo.hosts()) {
+    if (host.id % 29 == 0) targets.push_back(host.addr);
+    if (!host.alias.is_unspecified() && aliases < 16) {
+      targets.push_back(host.alias);
+      ++aliases;
+    }
+    if (host.id % 97 == 5) {
+      if (const auto prefix = topo.prefix_of(host.addr)) {
+        if (const auto gw = topo.gateway_addr(host.attachment, *prefix)) {
+          targets.push_back(*gw);
+        }
+      }
+    }
+  }
+  for (const auto& router : topo.routers()) {
+    if (router.id % 23 == 0) targets.push_back(router.loopback);
+  }
+  std::size_t interdomain = 0;
+  for (const auto& link : topo.links()) {
+    if (!link.interdomain || interdomain++ % 9 != 0) continue;
+    targets.push_back(link.addr_a);
+    targets.push_back(link.addr_b);
+  }
+  std::size_t unowned = 0;
+  for (const auto& prefix : topo.prefixes()) {
+    if (prefix.id % 31 != 0) continue;
+    const Ipv4Addr addr = prefix.prefix.at(prefix.prefix.size() - 3);
+    if (!topo.host_at(addr) && !topo.interface_at(addr)) {
+      targets.push_back(addr);
+      ++unowned;
+    }
+  }
+  EXPECT_GT(unowned, 0u);
+  for (const auto& router : topo.routers()) {
+    if (!router.private_alias.is_unspecified()) {
+      targets.push_back(router.private_alias);
+      break;
+    }
+  }
+  targets.push_back(Ipv4Addr(192, 168, 1, 1));
+  return targets;
+}
+
+// Senders: a few vantage points (which may spoof) plus ordinary hosts in
+// option-filtering and source-sensitive ASes.
+std::vector<HostId> pinned_senders(const Topology& topo) {
+  const auto vps = topo.vantage_points();
+  std::vector<HostId> senders(vps.begin(), vps.begin() + 4);
+  std::size_t filtering = 0;
+  std::size_t sensitive = 0;
+  for (const auto& host : topo.hosts()) {
+    if (host.is_vantage_point || host.is_probe_host) continue;
+    const auto& node = topo.as_node(host.asn);
+    if (node.filters_ip_options && filtering < 2 && host.id % 5 == 0) {
+      senders.push_back(host.id);
+      ++filtering;
+    } else if (node.source_sensitive && sensitive < 3 && host.id % 5 == 0) {
+      senders.push_back(host.id);
+      ++sensitive;
+    }
+  }
+  EXPECT_EQ(filtering, 2u);
+  EXPECT_EQ(sensitive, 3u);
+  return senders;
+}
+
+// Each (sender, target) pair gets a ping, an RR ping, a spoofed RR ping
+// (sourced at another vantage point), a TS-prespec ping and a TTL-limited
+// probe; the TTL-limited ones alternate between plain and RR-carrying.
+std::vector<MixProbe> pinned_mix(const Topology& topo) {
+  const auto targets = pinned_targets(topo);
+  const auto senders = pinned_senders(topo);
+  const auto vps = topo.vantage_points();
+  std::vector<MixProbe> mix;
+  std::uint16_t id = 0;
+  for (const HostId sender : senders) {
+    const Ipv4Addr own = topo.host(sender).addr;
+    const Ipv4Addr victim =
+        topo.host(vps[0] == sender ? vps[1] : vps[0]).addr;
+    for (std::size_t t = 0; t < targets.size(); ++t) {
+      const Ipv4Addr target = targets[t];
+      ++id;
+      mix.push_back({net::make_echo_request(own, target, id, 1), sender});
+
+      Packet rr = net::make_echo_request(own, target, id, 2);
+      rr.rr = net::RecordRouteOption{};
+      mix.push_back({rr, sender});
+
+      Packet spoofed = net::make_echo_request(victim, target, id, 3);
+      spoofed.rr = net::RecordRouteOption{};
+      mix.push_back({spoofed, sender});
+
+      const Ipv4Addr prespec[] = {target,
+                                  targets[(t * 7 + 3) % targets.size()]};
+      Packet ts = net::make_echo_request(own, target, id, 4);
+      ts.ts = net::TimestampOption::prespecified(prespec);
+      mix.push_back({ts, sender});
+
+      Packet limited = net::make_echo_request(
+          own, target, id, 5, static_cast<std::uint8_t>(1 + t % 9));
+      if (t % 2 == 1) limited.rr = net::RecordRouteOption{};
+      mix.push_back({limited, sender});
+    }
+  }
+  return mix;
+}
+
+struct MixDigest {
+  std::uint64_t digest = 0;
+  std::size_t answered = 0;
+  std::size_t time_exceeded = 0;
+  std::size_t rr_slots = 0;
+  std::size_t ts_stamps = 0;
+};
+
+// Sends the mix in order and folds (answered, reply src/dst/type, quoted
+// destination, RR slots, TS entries, rtt) of every probe, then the hop count.
+MixDigest run_mix(Network& network, std::span<const MixProbe> mix) {
+  MixDigest out;
+  const auto fold = [&out](std::uint64_t value) {
+    out.digest = util::mix_hash(out.digest, value, 0x5e4dULL);
+  };
+  for (const auto& probe : mix) {
+    const auto result = network.send(probe.packet, probe.sender);
+    fold(result.answered() ? 1 : 0);
+    if (!result.answered()) continue;
+    ++out.answered;
+    const Packet& reply = *result.reply;
+    fold(reply.src.value());
+    fold(reply.dst.value());
+    fold(static_cast<std::uint64_t>(reply.type));
+    fold(reply.quoted_dst.value());
+    fold(static_cast<std::uint64_t>(result.rtt_us));
+    if (reply.type == net::IcmpType::kTimeExceeded) ++out.time_exceeded;
+    if (reply.rr) {
+      fold(reply.rr->entries().size());
+      for (const Ipv4Addr slot : reply.rr->entries()) fold(slot.value());
+      out.rr_slots += reply.rr->entries().size();
+    }
+    if (reply.ts) {
+      for (const auto& entry : reply.ts->entries()) {
+        fold(entry.addr.value());
+        fold(entry.stamped ? 1 : 0);
+        fold(entry.timestamp);
+        if (entry.stamped) ++out.ts_stamps;
+      }
+    }
+  }
+  fold(network.packets_forwarded());
+  return out;
+}
+
+// Digests of the mix at loss 0 and at loss 0.2, both from network seed 3.
+constexpr std::uint64_t kPinnedDigest = 0xa059067e6f5d4efeULL;
+constexpr std::uint64_t kPinnedLossyDigest = 0xa8d83d9f8c589bfdULL;
+
+class SimNetwork : public SimFixture {};
+
+TEST_F(SimNetwork, SendOutcomesArePinned) {
+  const auto mix = pinned_mix(*topo_);
+  auto network = make_network();
+  const MixDigest clean = run_mix(network, mix);
+  // The mix must exercise what it pins: echo replies, TTL expiry, recorded
+  // routes and prespecified timestamps.
+  EXPECT_GT(clean.answered, mix.size() / 4);
+  EXPECT_GT(clean.time_exceeded, 100u);
+  EXPECT_GT(clean.rr_slots, 1000u);
+  EXPECT_GT(clean.ts_stamps, 100u);
+  EXPECT_EQ(clean.digest, kPinnedDigest) << std::hex << clean.digest;
+
+  auto lossy = make_network();
+  lossy.set_loss_rate(0.2);
+  const MixDigest lossy_run = run_mix(lossy, mix);
+  EXPECT_LT(lossy_run.answered, clean.answered);
+  EXPECT_EQ(lossy_run.digest, kPinnedLossyDigest) << std::hex
+                                                  << lossy_run.digest;
 }
 
 }  // namespace
