@@ -1,6 +1,7 @@
 // Engineering microbenchmarks (google-benchmark): the hot paths under the
 // simulator and the measurement system — wire codec, LPM trie, forwarding
-// decisions, full probe round trips, and a complete reverse traceroute.
+// decisions, full probe round trips (one warm pair, and spread over many
+// pairs), targeted traceroutes, and a complete reverse traceroute.
 #include <benchmark/benchmark.h>
 
 #include <utility>
@@ -110,6 +111,40 @@ void BM_SimulatedRrPing(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulatedRrPing);
+
+// Rotates over every VP x destination pair, so consecutive sends resolve
+// different destinations and cross different AS exits: a campaign's probe
+// stream rather than BM_SimulatedRrPing's one warm pair.
+void BM_SimulatedRrPingSpread(benchmark::State& state) {
+  auto& lab = shared_lab();
+  const auto vps = lab.topo.vantage_points();
+  const auto dests = lab.topo.probe_hosts();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto vp = vps[i % vps.size()];
+    const auto dest = dests[(i / vps.size()) % dests.size()];
+    ++i;
+    benchmark::DoNotOptimize(
+        lab.prober.rr_ping(vp, lab.topo.host(dest).addr));
+  }
+}
+BENCHMARK(BM_SimulatedRrPingSpread);
+
+// The symmetry step's targeted traceroute, rotated over the same pairs.
+void BM_SimulatedTargetedTrace(benchmark::State& state) {
+  auto& lab = shared_lab();
+  const auto vps = lab.topo.vantage_points();
+  const auto dests = lab.topo.probe_hosts();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto vp = vps[i % vps.size()];
+    const auto dest = dests[(i / vps.size()) % dests.size()];
+    ++i;
+    benchmark::DoNotOptimize(
+        lab.prober.targeted_trace(vp, lab.topo.host(dest).addr));
+  }
+}
+BENCHMARK(BM_SimulatedTargetedTrace);
 
 void BM_ReverseTraceroute(benchmark::State& state) {
   static eval::Lab lab(micro_config());

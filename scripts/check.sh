@@ -17,7 +17,8 @@
 #   4. tsan     ThreadSanitizer over the concurrency suite (thread pool,
 #               synchronized Distribution, striped caches, sharded metrics,
 #               parallel campaign driver, the batch ingress survey, routing
-#               tables filled on first use) plus the ServerDaemon e2e suite —
+#               tables filled on first use, simulated sends over one shared
+#               forwarding plane) plus the ServerDaemon e2e suite —
 #               the racy paths the parallel batch driver and the measurement
 #               daemon actually exercise. REVTR_CHECK_TSAN=0 skips the
 #               stage; REVTR_CHECK_TSAN=full runs the whole ctest suite
@@ -405,7 +406,7 @@ case "${REVTR_CHECK_TSAN:-1}" in
         echo "==> [tsan] build"
         cmake --build --preset tsan -j "$JOBS"
         echo "==> [tsan] concurrency suite"
-        ctest --preset tsan -R 'ThreadPool|Distribution|StripedMap|ShardedMetrics|ParallelCampaign|Atlas|Ingress|ServerDaemon|AgentSplit|RunnerFrontEnds|WaitForProgress|RiderJoins|ConcurrentPumpers|RoutingConcurrency'
+        ctest --preset tsan -R 'ThreadPool|Distribution|StripedMap|ShardedMetrics|ParallelCampaign|Atlas|Ingress|ServerDaemon|AgentSplit|RunnerFrontEnds|WaitForProgress|RiderJoins|ConcurrentPumpers|RoutingConcurrency|SimNetworkConcurrency'
         ;;
 esac
 

@@ -147,6 +147,19 @@ void Prober::absorb(const Prober& fork) {
   sequence_ = static_cast<std::uint16_t>(sequence_ + fork.sequence_);
 }
 
+std::optional<ProbeEvent> Prober::start_event(
+    ProbeType type, topology::HostId from, Ipv4Addr target,
+    std::optional<Ipv4Addr> spoof_as) const {
+  if (observer_ == nullptr && !fault_policy_) return std::nullopt;
+  ProbeEvent event;
+  event.type = type;
+  event.from = from;
+  event.target = target;
+  event.spoof_as = spoof_as;
+  event.offline = offline();
+  return event;
+}
+
 bool Prober::vetoed(ProbeEvent& event) {
   if (!fault_policy_) return false;
   if (!fault_policy_(event)) return false;
@@ -156,15 +169,11 @@ bool Prober::vetoed(ProbeEvent& event) {
 
 PingResult Prober::ping(topology::HostId from, Ipv4Addr target) {
   charge(ProbeType::kPing);
-  ProbeEvent event;
-  event.type = ProbeType::kPing;
-  event.from = from;
-  event.target = target;
-  event.offline = offline();
+  auto event = start_event(ProbeType::kPing, from, target);
   PingResult out;
-  if (vetoed(event)) {
+  if (event && vetoed(*event)) {
     out.duration_us = kProbeTimeoutUs;
-    notify(event);
+    notify(*event);
     return out;
   }
   const auto& sender = topo().host(from);
@@ -172,25 +181,23 @@ PingResult Prober::ping(topology::HostId from, Ipv4Addr target) {
   const auto result = network_.send(probe, from);
   out.responded = result.answered();
   out.duration_us = out.responded ? result.rtt_us : kProbeTimeoutUs;
-  event.responded = out.responded;
-  notify(event);
+  if (event) {
+    event->responded = out.responded;
+    notify(*event);
+  }
   return out;
 }
 
 RrProbeResult Prober::rr_ping(topology::HostId from, Ipv4Addr target,
                               std::optional<Ipv4Addr> spoof_as) {
-  charge(spoof_as ? ProbeType::kSpoofedRecordRoute : ProbeType::kRecordRoute);
-  ProbeEvent event;
-  event.type =
+  const ProbeType type =
       spoof_as ? ProbeType::kSpoofedRecordRoute : ProbeType::kRecordRoute;
-  event.from = from;
-  event.target = target;
-  event.spoof_as = spoof_as;
-  event.offline = offline();
+  charge(type);
+  auto event = start_event(type, from, target, spoof_as);
   RrProbeResult out;
-  if (vetoed(event)) {
+  if (event && vetoed(*event)) {
     out.duration_us = kProbeTimeoutUs;
-    notify(event);
+    notify(*event);
     return out;
   }
   const auto& sender = topo().host(from);
@@ -205,28 +212,29 @@ RrProbeResult Prober::rr_ping(topology::HostId from, Ipv4Addr target,
   } else {
     out.duration_us = kProbeTimeoutUs;
   }
-  event.responded = out.responded;
-  event.slots = out.slots;
-  notify(event);
+  if (event) {
+    event->responded = out.responded;
+    event->slots = out.slots;
+    notify(*event);
+  }
   return out;
 }
 
 TsProbeResult Prober::ts_ping(topology::HostId from, Ipv4Addr target,
                               std::span<const Ipv4Addr> prespec,
                               std::optional<Ipv4Addr> spoof_as) {
-  charge(spoof_as ? ProbeType::kSpoofedTimestamp : ProbeType::kTimestamp);
-  ProbeEvent event;
-  event.type = spoof_as ? ProbeType::kSpoofedTimestamp : ProbeType::kTimestamp;
-  event.from = from;
-  event.target = target;
-  event.spoof_as = spoof_as;
-  event.offline = offline();
-  event.prespec.assign(prespec.begin(), prespec.end());
+  const ProbeType type =
+      spoof_as ? ProbeType::kSpoofedTimestamp : ProbeType::kTimestamp;
+  charge(type);
+  auto event = start_event(type, from, target, spoof_as);
   TsProbeResult out;
-  if (vetoed(event)) {
-    out.duration_us = kProbeTimeoutUs;
-    notify(event);
-    return out;
+  if (event) {
+    event->prespec.assign(prespec.begin(), prespec.end());
+    if (vetoed(*event)) {
+      out.duration_us = kProbeTimeoutUs;
+      notify(*event);
+      return out;
+    }
   }
   const auto& sender = topo().host(from);
   const Ipv4Addr src = spoof_as.value_or(sender.addr);
@@ -246,9 +254,11 @@ TsProbeResult Prober::ts_ping(topology::HostId from, Ipv4Addr target,
   } else {
     out.duration_us = kProbeTimeoutUs;
   }
-  event.responded = out.responded;
-  event.stamped = out.stamped;
-  notify(event);
+  if (event) {
+    event->responded = out.responded;
+    event->stamped = out.stamped;
+    notify(*event);
+  }
   return out;
 }
 

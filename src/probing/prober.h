@@ -277,6 +277,12 @@ class Prober {
   // traceroute() and targeted_trace(), with their charging and event.
   TracerouteResult trace(topology::HostId from, net::Ipv4Addr target,
                          TraceStop (*walk)(const TtlProbe&));
+  // The event of a probe about to be sent, with its request fields filled
+  // in, when something reads events (an observer or a fault policy);
+  // nullopt otherwise, so an untapped prober builds and copies nothing.
+  std::optional<ProbeEvent> start_event(
+      ProbeType type, topology::HostId from, net::Ipv4Addr target,
+      std::optional<net::Ipv4Addr> spoof_as = std::nullopt) const;
   // Consults the fault policy; on a drop marks the event suppressed.
   bool vetoed(ProbeEvent& event);
   void notify(const ProbeEvent& event) {

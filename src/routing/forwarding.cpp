@@ -74,24 +74,62 @@ Decision ForwardingPlane::step_toward_router(RouterId current, RouterId target,
 }
 
 ResolvedDst ForwardingPlane::resolve(net::Ipv4Addr dst) const {
+  const topology::AddressFacts facts = topo_.facts_of(dst);
   ResolvedDst resolved;
-  resolved.iface = topo_.interface_at(dst);
-  resolved.prefix = topo_.prefix_of(dst);
+  resolved.iface = facts.iface;
+  resolved.prefix = facts.prefix;
   if (resolved.prefix) {
     resolved.dest_asn = topo_.prefix(*resolved.prefix).origin;
     resolved.dest_as = topo_.index_of(resolved.dest_asn);
-    resolved.host = topo_.host_at(dst);
+    resolved.host = facts.host;
   }
   return resolved;
 }
 
 Decision ForwardingPlane::decide(RouterId current,
                                  const PacketContext& ctx) const {
-  return decide(current, ctx, resolve(ctx.dst));
+  AsExit exit;
+  return decide(current, ctx, resolve(ctx.dst), exit);
+}
+
+AsExit ForwardingPlane::as_exit(AsIndex as_index, const PacketContext& ctx,
+                                const ResolvedDst& dst) const {
+  AsExit exit;
+  exit.as = as_index;
+  const Asn asn = topo_.as_at(as_index).asn;
+  const Asn next = next_as(dst.dest_as, as_index, ctx.src, ctx.dst);
+  if (next == 0) return exit;
+  const auto borders = topo_.border_links(asn, next);
+  if (borders.empty()) return exit;
+  // Among parallel interconnects, most traffic crosses a per-AS-pair
+  // primary link (shared by both directions, like geographically natural
+  // crossings), but a minority of destination prefixes egress elsewhere
+  // (hot-potato). The choice depends only on the destination, so
+  // Reverse Traceroute's destination-based assumption holds, yet forward
+  // and reverse flows of one pair can cross different routers — a real
+  // source of router-level interdomain asymmetry (§6.2).
+  const topology::PrefixId prefix_id = *dst.prefix;
+  LinkId border = borders[0];
+  if (borders.size() > 1) {
+    const Asn low = std::min<Asn>(asn, next);
+    const Asn high = std::max<Asn>(asn, next);
+    const std::uint64_t primary = util::mix_hash(low, high, 0xa5a5);
+    if (util::mix_hash(asn, next, prefix_id) % 100 < 35) {
+      border = borders[util::mix_hash(next, prefix_id, 0x0ff) %
+                       borders.size()];
+    } else {
+      border = borders[primary % borders.size()];
+    }
+  }
+  const auto& link = topo_.link(border);
+  exit.border = border;
+  exit.our_side =
+      topo_.router(link.router_a).asn == asn ? link.router_a : link.router_b;
+  return exit;
 }
 
 Decision ForwardingPlane::decide(RouterId current, const PacketContext& ctx,
-                                 const ResolvedDst& dst) const {
+                                 const ResolvedDst& dst, AsExit& exit) const {
   // A router always recognizes its own interface addresses, even when the
   // covering prefix is announced by a neighbor (interdomain /30s, Fig 4).
   if (dst.iface && dst.iface->router == current) {
@@ -100,50 +138,23 @@ Decision ForwardingPlane::decide(RouterId current, const PacketContext& ctx,
     return decision;
   }
 
-  const auto& prefix_id = dst.prefix;
-  if (!prefix_id) return Decision{};  // Unroutable (e.g. private space).
-  const Asn dest_asn = dst.dest_asn;
+  if (!dst.prefix) return Decision{};  // Unroutable (e.g. private space).
   const auto& current_router = topo_.router(current);
 
-  if (current_router.asn != dest_asn) {
+  if (current_router.asn != dst.dest_asn) {
     // --- Interdomain step. ---
-    const AsIndex dest_as = dst.dest_as;
-    const AsIndex current_as = current_router.as_index;
-    const Asn next = next_as(dest_as, current_as, ctx.src, ctx.dst);
-    if (next == 0) return Decision{};
-    const auto borders = topo_.border_links(current_router.asn, next);
-    if (borders.empty()) return Decision{};
-    // Among parallel interconnects, most traffic crosses a per-AS-pair
-    // primary link (shared by both directions, like geographically natural
-    // crossings), but a minority of destination prefixes egress elsewhere
-    // (hot-potato). The choice depends only on the destination, so
-    // Reverse Traceroute's destination-based assumption holds, yet forward
-    // and reverse flows of one pair can cross different routers — a real
-    // source of router-level interdomain asymmetry (§6.2).
-    LinkId border = borders[0];
-    if (borders.size() > 1) {
-      const Asn low = std::min<Asn>(current_router.asn, next);
-      const Asn high = std::max<Asn>(current_router.asn, next);
-      const std::uint64_t primary = util::mix_hash(low, high, 0xa5a5);
-      if (util::mix_hash(current_router.asn, next, *prefix_id) % 100 < 35) {
-        border = borders[util::mix_hash(next, *prefix_id, 0x0ff) %
-                         borders.size()];
-      } else {
-        border = borders[primary % borders.size()];
-      }
+    if (exit.as != current_router.as_index) {
+      exit = as_exit(current_router.as_index, ctx, dst);
     }
-    const auto& link = topo_.link(border);
-    const RouterId our_side =
-        topo_.router(link.router_a).asn == current_router.asn ? link.router_a
-                                                              : link.router_b;
-    if (our_side == current) {
+    if (exit.border == kInvalidId) return Decision{};
+    if (exit.our_side == current) {
       Decision decision;
       decision.kind = Decision::Kind::kForwardLink;
-      decision.link = border;
-      decision.next_router = topo_.far_end(current, border);
+      decision.link = exit.border;
+      decision.next_router = topo_.far_end(current, exit.border);
       return decision;
     }
-    return step_toward_router(current, our_side, ctx);
+    return step_toward_router(current, exit.our_side, ctx);
   }
 
   // --- The packet is inside the destination prefix's origin AS. ---

@@ -47,13 +47,25 @@ struct Decision {
 // Destination-derived facts that are invariant across every hop of one
 // packet: which interface/host owns the address, its longest-match prefix,
 // and the origin AS. The simulator resolves them once per forwarding pass
-// instead of re-walking the prefix trie and address maps at each router.
+// instead of re-walking the address maps at each router.
 struct ResolvedDst {
   std::optional<topology::InterfaceOwner> iface;
   std::optional<topology::PrefixId> prefix;
   topology::Asn dest_asn = 0;
   topology::AsIndex dest_as = topology::kInvalidId;
   std::optional<topology::HostId> host;
+};
+
+// Where a packet leaves the AS it is in on its way to the destination: the
+// border link it crosses and this AS's router on that link. It is a pure
+// function of (AS, destination prefix, src, dst), and only the AS changes
+// within one forwarding pass, so decide() computes it on entering an AS and
+// reuses it at every further hop there. It belongs to the pass (the
+// caller's stack), never to the plane, which many workers share.
+struct AsExit {
+  topology::AsIndex as = topology::kInvalidId;     // The AS it was made for.
+  topology::LinkId border = topology::kInvalidId;  // kInvalidId: no route.
+  topology::RouterId our_side = topology::kInvalidId;
 };
 
 class ForwardingPlane {
@@ -64,8 +76,11 @@ class ForwardingPlane {
   // Resolves the per-destination facts `decide` consumes at every hop.
   ResolvedDst resolve(net::Ipv4Addr dst) const;
 
+  // One hop of a pass toward `dst`. `exit` is the pass's AS-exit state:
+  // default-constructed at the start of the pass, then handed back at every
+  // hop of it.
   Decision decide(topology::RouterId current, const PacketContext& ctx,
-                  const ResolvedDst& dst) const;
+                  const ResolvedDst& dst, AsExit& exit) const;
   // Convenience for single-shot queries: resolve + decide.
   Decision decide(topology::RouterId current, const PacketContext& ctx) const;
 
@@ -84,6 +99,10 @@ class ForwardingPlane {
   // applying the AS's source-sensitive alternate choice when configured.
   topology::Asn next_as(topology::AsIndex dest_as, topology::AsIndex as_index,
                         net::Ipv4Addr src, net::Ipv4Addr dst) const;
+
+  // The exit of `as_index` toward `dst` for the packet `ctx`.
+  AsExit as_exit(topology::AsIndex as_index, const PacketContext& ctx,
+                 const ResolvedDst& dst) const;
 
   // Chooses between ECMP next hops at `router`.
   topology::LinkId choose_link(const IntraRouting::NextHops& hops,

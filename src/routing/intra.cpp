@@ -108,9 +108,8 @@ IntraRouting::NextHops IntraRouting::next_hops(topology::RouterId from,
                                                topology::RouterId to) const {
   const auto& from_router = topo_.router(from);
   const auto& to_router = topo_.router(to);
-  if (from_router.asn != to_router.asn) return NextHops{};
-  const auto as = topo_.index_of(from_router.asn);
-  const AsMatrix& m = matrix(as);
+  if (from_router.as_index != to_router.as_index) return NextHops{};
+  const AsMatrix& m = matrix(from_router.as_index);
   return m.hops[local_index_[from] * m.size + local_index_[to]];
 }
 
@@ -118,9 +117,8 @@ std::uint16_t IntraRouting::distance(topology::RouterId from,
                                      topology::RouterId to) const {
   const auto& from_router = topo_.router(from);
   const auto& to_router = topo_.router(to);
-  if (from_router.asn != to_router.asn) return kUnreachable;
-  const auto as = topo_.index_of(from_router.asn);
-  const AsMatrix& m = matrix(as);
+  if (from_router.as_index != to_router.as_index) return kUnreachable;
+  const AsMatrix& m = matrix(from_router.as_index);
   return m.dist[local_index_[from] * m.size + local_index_[to]];
 }
 

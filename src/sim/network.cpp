@@ -44,9 +44,10 @@ std::vector<RouterId> Network::ground_truth_path(Ipv4Addr from, Ipv4Addr to,
   ctx.packet_salt = salt * 0x9e3779b97f4a7c15ULL + 1;
 
   const auto resolved = plane_.resolve(ctx.dst);
+  routing::AsExit exit;
   for (int hop = 0; hop < kHopLimit; ++hop) {
     path.push_back(current);
-    const auto decision = plane_.decide(current, ctx, resolved);
+    const auto decision = plane_.decide(current, ctx, resolved, exit);
     switch (decision.kind) {
       case routing::Decision::Kind::kForwardLink:
         current = decision.next_router;
@@ -165,10 +166,10 @@ std::optional<Packet> Network::router_response(const Packet& request,
   return reply;
 }
 
-void Network::forward_pass(Packet packet, RouterId origin,
-                           Ipv4Addr arrival_addr, bool origin_emits,
-                           PassResult& result) {
-  result.reset();
+Network::PassResult Network::forward_pass(Packet packet, RouterId origin,
+                                          Ipv4Addr arrival_addr,
+                                          bool origin_emits) {
+  PassResult result;
   RouterId current = origin;
   routing::PacketContext ctx;
   ctx.src = packet.src;
@@ -187,25 +188,25 @@ void Network::forward_pass(Packet packet, RouterId origin,
       packet.rr.has_value() ? 0x5252ULL : (packet.ts ? 0x7373ULL : 0));
 
   const auto resolved = plane_.resolve(ctx.dst);
+  routing::AsExit exit;
   for (int hop = 0; hop < kHopLimit; ++hop) {
     ++packets_forwarded_;
-    result.path.push_back(current);
     const auto& router = topo_.router(current);
 
     // Option filtering at AS boundaries: the whole AS drops RR/TS packets.
     if (packet.has_options() &&
         topo_.as_at(router.as_index).filters_ip_options) {
-      return;
+      return result;
     }
 
-    const auto decision = plane_.decide(current, ctx, resolved);
+    const auto decision = plane_.decide(current, ctx, resolved, exit);
     if (decision.kind == routing::Decision::Kind::kDeliverRouter) {
       result.delivered = packet;
       result.router = current;
-      return;
+      return result;
     }
     if (decision.kind == routing::Decision::Kind::kDrop) {
-      return;
+      return result;
     }
 
     // The packet must be forwarded: TTL check first.
@@ -214,7 +215,7 @@ void Network::forward_pass(Packet packet, RouterId origin,
         result.icmp_error = net::make_time_exceeded(packet, arrival_addr);
         result.error_router = current;
       }
-      return;
+      return result;
     }
     --packet.ttl;
 
@@ -222,19 +223,16 @@ void Network::forward_pass(Packet packet, RouterId origin,
 
     const bool emitting = origin_emits && hop == 0;
     if (decision.kind == routing::Decision::Kind::kDeliverHost) {
-      const auto& host = topo_.host(decision.host);
-      // Outgoing interface into the destination subnet = gateway address.
-      Ipv4Addr egress = router.loopback;
-      if (const auto prefix = topo_.prefix_of(host.addr)) {
-        if (const auto gateway = topo_.gateway_addr(current, *prefix)) {
-          egress = *gateway;
-        }
+      // Outgoing interface into the destination subnet = gateway address
+      // (`current` is the host's access router).
+      if (!emitting) {
+        stamp_rr(packet, router, arrival_addr,
+                 topo_.host(decision.host).gateway);
       }
-      if (!emitting) stamp_rr(packet, router, arrival_addr, egress);
       result.elapsed_us += kAccessDelayUs;
       result.delivered = packet;
       result.host = decision.host;
-      return;
+      return result;
     }
 
     // Forward over a link.
@@ -247,7 +245,7 @@ void Network::forward_pass(Packet packet, RouterId origin,
     arrival_addr = topo_.egress_addr(decision.next_router, decision.link);
     current = decision.next_router;
   }
-  // Hop limit exceeded: dropped.
+  return result;  // Hop limit exceeded: dropped.
 }
 
 SendResult Network::send(const Packet& packet, HostId sender) {
@@ -268,19 +266,10 @@ SendResult Network::send(const Packet& packet, HostId sender) {
     return out;
   }
 
-  const auto src_prefix = topo_.prefix_of(host.addr);
-  Ipv4Addr first_arrival = topo_.router(host.attachment).loopback;
-  if (src_prefix) {
-    if (const auto gw = topo_.gateway_addr(host.attachment, *src_prefix)) {
-      first_arrival = *gw;
-    }
-  }
-
   util::SimClock::Micros elapsed = kAccessDelayUs;
-  PassResult& request_pass = pass_scratch_;
-  forward_pass(packet, host.attachment, first_arrival, false, request_pass);
+  const PassResult request_pass =
+      forward_pass(packet, host.attachment, host.gateway, false);
   elapsed += request_pass.elapsed_us;
-  std::swap(out.request_path, request_pass.path);
 
   // Determine the response packet and its origin.
   std::optional<Packet> response;
@@ -297,12 +286,7 @@ SendResult Network::send(const Packet& packet, HostId sender) {
     if (response) {
       response_origin = dest.attachment;
       elapsed += kAccessDelayUs;
-      response_arrival = topo_.router(response_origin).loopback;
-      if (const auto prefix = topo_.prefix_of(dest.addr)) {
-        if (const auto gw = topo_.gateway_addr(dest.attachment, *prefix)) {
-          response_arrival = *gw;
-        }
-      }
+      response_arrival = dest.gateway;
     }
   } else if (request_pass.delivered && request_pass.router != kInvalidId) {
     response = router_response(*request_pass.delivered,
@@ -320,16 +304,13 @@ SendResult Network::send(const Packet& packet, HostId sender) {
   if (!observer) return out;
 
   // A router answering for itself emits the reply rather than forwarding
-  // a received packet, so it must not add a second stamp. Both facts are
-  // read out of request_pass before the scratch is reused for the reply.
+  // a received packet, so it must not add a second stamp.
   const bool origin_emits =
       request_pass.icmp_error.has_value() ||
       (request_pass.delivered && request_pass.router != kInvalidId);
-  PassResult& reply_pass = pass_scratch_;
-  forward_pass(*response, response_origin, response_arrival, origin_emits,
-               reply_pass);
+  PassResult reply_pass = forward_pass(*response, response_origin,
+                                       response_arrival, origin_emits);
   elapsed += reply_pass.elapsed_us;
-  std::swap(out.reply_path, reply_pass.path);
 
   if (!reply_pass.delivered || reply_pass.host != *observer) {
     return out;  // Reply lost (filtered, unroutable, expired).

@@ -26,14 +26,12 @@
 
 namespace revtr::sim {
 
+// What the sender observes: the reply, if one reaches it, and the round trip.
+// Router-level truth the real paper could not observe comes from
+// Network::ground_truth_path, not from here.
 struct SendResult {
   std::optional<net::Packet> reply;
   util::SimClock::Micros rtt_us = 0;  // Meaningful when reply is set.
-
-  // Router-level ground truth of the two directions; used by tests and by
-  // evaluation code that needs truth the real paper could not observe.
-  std::vector<topology::RouterId> request_path;
-  std::vector<topology::RouterId> reply_path;
 
   bool answered() const noexcept { return reply.has_value(); }
 };
@@ -99,8 +97,9 @@ class Network {
   const topology::Topology& topo() const noexcept { return topo_; }
 
  private:
-  // One forwarding pass: from `origin` router until delivery/drop. Returns
-  // the packet as delivered (options updated) or nullopt when dropped.
+  // How one forwarding pass ended: delivered (options updated) to a host or
+  // to a router that owns the destination, answered with a time-exceeded
+  // error, or dropped (nothing set).
   struct PassResult {
     std::optional<net::Packet> delivered;
     // Set when the pass ended at a host / router that should now respond.
@@ -110,28 +109,14 @@ class Network {
     std::optional<net::Packet> icmp_error;
     topology::RouterId error_router = topology::kInvalidId;
     util::SimClock::Micros elapsed_us = 0;
-    std::vector<topology::RouterId> path;
-
-    // Back to the freshly-constructed state, keeping path's capacity so a
-    // reused PassResult walks the topology without allocating.
-    void reset() noexcept {
-      delivered.reset();
-      host = topology::kInvalidId;
-      router = topology::kInvalidId;
-      icmp_error.reset();
-      error_router = topology::kInvalidId;
-      elapsed_us = 0;
-      path.clear();
-    }
   };
 
+  // One forwarding pass: from `origin` router until delivery/drop.
   // `origin_emits` marks a pass whose first router is the packet's own
   // originator (a router answering a probe): it forwards without stamping,
   // since RFC 791 stamping happens when *forwarding* a received packet.
-  // Writes into `result` (reset first), reusing its path capacity.
-  void forward_pass(net::Packet packet, topology::RouterId origin,
-                    net::Ipv4Addr arrival_addr, bool origin_emits,
-                    PassResult& result);
+  PassResult forward_pass(net::Packet packet, topology::RouterId origin,
+                          net::Ipv4Addr arrival_addr, bool origin_emits);
 
   void stamp_rr(net::Packet& packet, const topology::Router& router,
                 net::Ipv4Addr arrival_addr, net::Ipv4Addr egress_addr) const;
@@ -152,10 +137,6 @@ class Network {
   double loss_rate_ = 0.0;
   std::uint64_t packets_forwarded_ = 0;
   std::uint64_t probes_injected_ = 0;
-  // Shared forwarding scratch: request and reply passes of every send()
-  // run through here, keeping the hop-path vector's capacity warm. The
-  // Network is per-worker (see reseed()), so no synchronization is needed.
-  PassResult pass_scratch_;
 };
 
 }  // namespace revtr::sim

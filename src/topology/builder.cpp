@@ -42,11 +42,7 @@ class BuildContext {
     build_prefixes_and_hosts();
     place_vantage_points();
     place_probe_hosts();
-    topo_.router_gateways_.resize(topo_.routers_.size());
-    for (const auto& [key, gateway] : topo_.gateway_map_) {
-      topo_.router_gateways_[static_cast<RouterId>(key >> 32)].push_back(
-          gateway);
-    }
+    topo_.record_address_facts();
   }
 
  private:

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "util/check.h"
+
 namespace revtr::topology {
 
 std::string to_string(AsTier tier) {
@@ -83,6 +85,67 @@ std::optional<Asn> Topology::as_of(net::Ipv4Addr addr) const {
   return prefixes_[*id].origin;
 }
 
+AddressFacts Topology::facts_of(net::Ipv4Addr addr) const {
+  AddressFacts facts;
+  PrefixId match = kUnrecorded;
+  if (const auto it = interface_map_.find(addr); it != interface_map_.end()) {
+    facts.iface = it->second;
+    match = recorded_prefix(addr, it->second);
+  }
+  if (const auto it = host_map_.find(addr); it != host_map_.end()) {
+    facts.host = it->second;
+    if (match == kUnrecorded) {
+      const Host& host = hosts_[it->second];
+      match = host.addr == addr ? host.prefix : host.alias_prefix;
+    }
+  }
+  if (match == kUnrecorded) {
+    facts.prefix = prefix_of(addr);
+  } else if (match != kInvalidId) {
+    facts.prefix = match;
+  }
+  return facts;
+}
+
+PrefixId Topology::recorded_prefix(net::Ipv4Addr addr,
+                                   InterfaceOwner owner) const {
+  if (owner.link != kInvalidId) return links_[owner.link].prefix;
+  const Router& router = routers_[owner.router];
+  if (addr == router.loopback) return router.loopback_prefix;
+  for (const GatewayRecord& gateway : router_gateways_[owner.router]) {
+    if (gateway.addr == addr) return gateway.prefix;
+  }
+  return kUnrecorded;
+}
+
+void Topology::record_address_facts() {
+  const auto match = [this](net::Ipv4Addr addr) {
+    return prefix_of(addr).value_or(kInvalidId);
+  };
+  for (Router& router : routers_) {
+    router.loopback_prefix = match(router.loopback);
+  }
+  for (Link& link : links_) {
+    link.prefix = match(link.addr_a);
+    REVTR_CHECK(match(link.addr_b) == link.prefix);
+  }
+  for (Host& host : hosts_) {
+    host.prefix = match(host.addr);
+    if (!host.alias.is_unspecified()) host.alias_prefix = match(host.alias);
+    host.gateway = routers_[host.attachment].loopback;
+    if (host.prefix != kInvalidId) {
+      if (const auto gateway = gateway_addr(host.attachment, host.prefix)) {
+        host.gateway = *gateway;
+      }
+    }
+  }
+  router_gateways_.assign(routers_.size(), {});
+  for (const auto& [key, addr] : gateway_map_) {
+    router_gateways_[static_cast<RouterId>(key >> 32)].push_back(
+        GatewayRecord{addr, match(addr)});
+  }
+}
+
 net::Ipv4Addr Topology::egress_addr(RouterId router, LinkId link_id) const {
   const Link& l = links_[link_id];
   return l.router_a == router ? l.addr_a : l.addr_b;
@@ -152,8 +215,8 @@ std::vector<net::Ipv4Addr> Topology::router_addresses(RouterId id) const {
     addrs.push_back(egress_addr(id, link));
   }
   if (id < router_gateways_.size()) {
-    for (net::Ipv4Addr gateway : router_gateways_[id]) {
-      addrs.push_back(gateway);
+    for (const GatewayRecord& gateway : router_gateways_[id]) {
+      addrs.push_back(gateway.addr);
     }
   }
   std::sort(addrs.begin(), addrs.end());

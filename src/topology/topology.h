@@ -56,6 +56,11 @@ class Topology {
   std::optional<PrefixId> prefix_of(net::Ipv4Addr addr) const;
   // Origin AS of the longest matching prefix.
   std::optional<Asn> as_of(net::Ipv4Addr addr) const;
+  // interface_at, host_at and prefix_of in one step. Addresses the topology
+  // owns (host addresses and aliases, loopbacks, /30 ends, gateways) are
+  // answered from matches recorded when the topology was built; only the
+  // rest (unowned or private space) walk the prefix trie.
+  AddressFacts facts_of(net::Ipv4Addr addr) const;
 
   // --- Router-level navigation. ---
   // The interface address `router` uses when sending over `link`.
@@ -99,6 +104,14 @@ class Topology {
   friend class TopologyBuilder;
   friend class detail::BuildContext;
 
+  // Records the longest-prefix match of every owned address (and each
+  // host's gateway) for facts_of(); the last step of building.
+  void record_address_facts();
+  // The recorded match of `addr`, owned by the interface `owner`, or
+  // kUnrecorded when nothing was recorded for it (a private alias).
+  static constexpr PrefixId kUnrecorded = kInvalidId - 1;
+  PrefixId recorded_prefix(net::Ipv4Addr addr, InterfaceOwner owner) const;
+
   std::vector<AsNode> ases_;
   std::vector<Router> routers_;
   std::vector<Link> links_;
@@ -115,7 +128,13 @@ class Topology {
   util::FlatMap<std::uint64_t, std::vector<LinkId>> border_links_;
   // (router << 32 | prefix) -> gateway address.
   util::FlatMap<std::uint64_t, net::Ipv4Addr> gateway_map_;
-  std::vector<std::vector<net::Ipv4Addr>> router_gateways_;  // By RouterId.
+  // A router's gateway addresses with their longest-prefix matches,
+  // recorded like Router::loopback_prefix.
+  struct GatewayRecord {
+    net::Ipv4Addr addr;
+    PrefixId prefix = kInvalidId;
+  };
+  std::vector<std::vector<GatewayRecord>> router_gateways_;  // By RouterId.
   std::vector<std::vector<HostId>> prefix_hosts_;  // Indexed by PrefixId.
 
   std::vector<HostId> vps_;

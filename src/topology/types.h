@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -94,6 +95,9 @@ struct Router {
   bool snmp_responder = false;        // Table 2 alias ground-truth channel.
   bool per_packet_lb = false;         // Randomizes ECMP for option packets.
   bool source_sensitive = false;      // Violates destination-based routing.
+  // Longest-prefix match of `loopback` (kInvalidId: none), recorded when
+  // the topology is built so address resolution skips the trie.
+  PrefixId loopback_prefix = kInvalidId;
 
   std::vector<LinkId> links;
 };
@@ -104,6 +108,9 @@ struct Link {
   RouterId router_b = kInvalidId;
   net::Ipv4Addr addr_a;  // Interface of router_a on this /30.
   net::Ipv4Addr addr_b;  // Interface of router_b.
+  // Longest-prefix match of both ends (a /30 never straddles an announced
+  // prefix), recorded like Router::loopback_prefix.
+  PrefixId prefix = kInvalidId;
   std::int64_t delay_us = 1000;
   bool interdomain = false;
 };
@@ -137,6 +144,16 @@ struct Host {
   HostStamp stamp = HostStamp::kNormal;
   net::Ipv4Addr alias;  // Secondary interface for kDoubleStamp/kAliasStamp.
 
+  // Recorded when the topology is built, like Router::loopback_prefix.
+  // The alias is a loopback in infrastructure space, so its match is not
+  // the host's customer prefix.
+  PrefixId prefix = kInvalidId;        // Match of `addr`.
+  PrefixId alias_prefix = kInvalidId;  // Match of `alias`, if any.
+  // Where the host's packets enter its access router, and what that router
+  // stamps when it delivers to the host: the router's gateway address in
+  // the host's prefix, else its loopback.
+  net::Ipv4Addr gateway;
+
   bool is_vantage_point = false;  // Can send/receive and spoof probes.
   bool is_probe_host = false;     // RIPE-Atlas-like traceroute origin.
 };
@@ -146,6 +163,14 @@ struct Host {
 struct InterfaceOwner {
   RouterId router = kInvalidId;
   LinkId link = kInvalidId;
+};
+
+// Who owns an address and its longest-prefix match, in one answer
+// (Topology::facts_of).
+struct AddressFacts {
+  std::optional<InterfaceOwner> iface;
+  std::optional<HostId> host;
+  std::optional<PrefixId> prefix;
 };
 
 }  // namespace revtr::topology

@@ -416,5 +416,86 @@ TEST(RoutingConcurrency, FirstUseFromManyThreadsMatchesSerial) {
   }
 }
 
+// --------------------------------------------------------------------------
+// Destination resolution
+// --------------------------------------------------------------------------
+
+// What resolve() answered before it read the topology's per-address
+// records: interface and host maps plus a prefix-trie walk.
+ResolvedDst trie_resolve(const Topology& topo, net::Ipv4Addr addr) {
+  ResolvedDst resolved;
+  resolved.iface = topo.interface_at(addr);
+  resolved.prefix = topo.prefix_of(addr);
+  if (resolved.prefix) {
+    resolved.dest_asn = topo.prefix(*resolved.prefix).origin;
+    resolved.dest_as = topo.index_of(resolved.dest_asn);
+    resolved.host = topo.host_at(addr);
+  }
+  return resolved;
+}
+
+void expect_same_resolution(const ResolvedDst& got, const ResolvedDst& want,
+                            net::Ipv4Addr addr) {
+  SCOPED_TRACE(addr.to_string());
+  ASSERT_EQ(got.iface.has_value(), want.iface.has_value());
+  if (got.iface) {
+    EXPECT_EQ(got.iface->router, want.iface->router);
+    EXPECT_EQ(got.iface->link, want.iface->link);
+  }
+  EXPECT_EQ(got.prefix, want.prefix);
+  EXPECT_EQ(got.dest_asn, want.dest_asn);
+  EXPECT_EQ(got.dest_as, want.dest_as);
+  EXPECT_EQ(got.host, want.host);
+}
+
+// Every address the topology owns resolves from build-time records; each
+// record must hold the match of its own address. A host's alias is a
+// loopback in infrastructure space: its match is not the host's prefix.
+TEST(ForwardingPlane, ResolveMatchesTrieForEveryOwnedAddress) {
+  const Topology topo = TopologyBuilder::build(small_config());
+  const BgpTable bgp(topo);
+  const IntraRouting intra(topo);
+  const ForwardingPlane plane(topo, bgp, intra);
+
+  std::size_t checked = 0;
+  std::size_t aliases_outside_host_prefix = 0;
+  for (const auto& host : topo.hosts()) {
+    expect_same_resolution(plane.resolve(host.addr),
+                           trie_resolve(topo, host.addr), host.addr);
+    ++checked;
+    if (host.alias.is_unspecified()) continue;
+    const ResolvedDst alias = plane.resolve(host.alias);
+    expect_same_resolution(alias, trie_resolve(topo, host.alias), host.alias);
+    EXPECT_EQ(alias.host, host.id);
+    if (alias.prefix != topo.prefix_of(host.addr)) {
+      ++aliases_outside_host_prefix;
+    }
+    ++checked;
+  }
+  EXPECT_GT(aliases_outside_host_prefix, 0u);
+  for (const auto& router : topo.routers()) {
+    // Loopback, private alias, both-end /30 interfaces and gateways.
+    for (const net::Ipv4Addr addr : topo.router_addresses(router.id)) {
+      const ResolvedDst got = plane.resolve(addr);
+      expect_same_resolution(got, trie_resolve(topo, addr), addr);
+      ASSERT_TRUE(got.iface.has_value());
+      EXPECT_EQ(got.iface->router, router.id);
+      ++checked;
+    }
+  }
+  // Addresses nobody owns still take the trie: inside announced prefixes
+  // and in unannounced space.
+  for (const auto& prefix : topo.prefixes()) {
+    const net::Ipv4Addr last = prefix.prefix.at(prefix.prefix.size() - 1);
+    expect_same_resolution(plane.resolve(last), trie_resolve(topo, last),
+                           last);
+  }
+  const net::Ipv4Addr unannounced(192, 168, 7, 9);
+  expect_same_resolution(plane.resolve(unannounced),
+                         trie_resolve(topo, unannounced), unannounced);
+  EXPECT_FALSE(plane.resolve(unannounced).prefix.has_value());
+  EXPECT_GT(checked, topo.num_hosts() + topo.num_routers());
+}
+
 }  // namespace
 }  // namespace revtr::routing

@@ -579,5 +579,32 @@ TEST_F(SimNetwork, SendOutcomesArePinned) {
                                                   << lossy_run.digest;
 }
 
+// Workers share one Topology and ForwardingPlane and own their Network
+// copies. Every per-pass cache lives on the sending thread's stack, so four
+// threads sending the pinned mix at once (over routing tables they also
+// fill on first use) must each get the single-threaded digest.
+TEST(SimNetworkConcurrency, SharedPlaneSendsMatchThePinnedDigest) {
+  const Topology topo = TopologyBuilder::build(small_config());
+  const routing::BgpTable bgp(topo);
+  const routing::IntraRouting intra(topo);
+  const routing::ForwardingPlane plane(topo, bgp, intra);
+  const auto mix = pinned_mix(topo);
+  const Network prototype(topo, plane, 3);
+
+  std::array<std::uint64_t, 4> digests{};
+  {
+    std::vector<std::jthread> threads;
+    for (std::size_t t = 0; t < digests.size(); ++t) {
+      threads.emplace_back([&, t] {
+        Network network = prototype;
+        digests[t] = run_mix(network, mix).digest;
+      });
+    }
+  }
+  for (const std::uint64_t digest : digests) {
+    EXPECT_EQ(digest, kPinnedDigest) << std::hex << digest;
+  }
+}
+
 }  // namespace
 }  // namespace revtr::sim
